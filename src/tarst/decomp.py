@@ -152,7 +152,8 @@ def tarst(y, rule: ThresholdRule, shrink: str = "hard") -> TarstReport:
     tau and so drops boundary values.
 
     If every singular value of some mode falls below its cutoff the estimate
-    is the zero tensor and the report is flagged degenerate.
+    is the zero tensor and the report is flagged degenerate; so is the
+    estimate of an all-zero input, whose median-rule cutoff is zero.
     """
     a = _validated(y)
     if not isinstance(rule, (KnownSigma, MedianBased)):
@@ -166,7 +167,8 @@ def tarst(y, rule: ThresholdRule, shrink: str = "hard") -> TarstReport:
         mat = unfold(a, k)
         f = svd(mat)
         tau = threshold_for_unfolding(mat.shape[0], mat.shape[1], rule, f.s)
-        _, rank = threshold(f.s, tau)
+        # tau == 0 only for an all-zero unfolding under the median rule
+        rank = threshold(f.s, tau)[1] if tau > 0 else 0
         factors.append(f.u[:, :rank])
         taus.append(float(tau))
         kept_counts.append(rank)

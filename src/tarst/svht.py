@@ -14,6 +14,13 @@ distribution, computed by adaptive quadrature of the density plus Brent
 root finding (never tabulated). Squaring gives lambda_star(1) = 4/sqrt(3)
 and omega(1) ~= 2.8584 for square unfoldings.
 
+Whenever the observed spectrum is at hand, under either rule, the cutoff is
+floored at ``max(m, n) * eps * s_max``, the ``numpy.linalg.matrix_rank``
+tolerance. Singular values below it are indistinguishable from floating-
+point roundoff of the largest one, so they never count as rank: a constant
+tensor gets rank 1 in every mode at any magnitude, and an all-zero tensor
+gets a zero cutoff, which keeps nothing.
+
 Thresholding is hard: values at or above the cutoff pass unchanged, the
 rest become zero. The boundary is inclusive (>=).
 """
@@ -62,6 +69,8 @@ class MedianBased:
 
 
 ThresholdRule = Union[KnownSigma, MedianBased]
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _check_beta(beta) -> float:
@@ -136,8 +145,9 @@ def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> floa
     """Concrete cutoff for one m x n unfolding under the given rule.
 
     ``s`` is the observed spectrum, required by the median-based rule and
-    ignored otherwise. Transpose-invariant: beta = min/max and the known-
-    sigma formula scales by sqrt(max(m, n)).
+    optional for the known-sigma rule; when given, the cutoff is floored at
+    the roundoff level ``max(m, n) * eps * max(s)``. Transpose-invariant:
+    beta = min/max and the known-sigma formula scales by sqrt(max(m, n)).
     """
     m, n = int(m), int(n)
     if m < 1 or n < 1:
@@ -145,12 +155,16 @@ def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> floa
     big, small = (m, n) if m >= n else (n, m)
     beta = small / big
     if isinstance(rule, KnownSigma):
-        return lambda_star(beta) * math.sqrt(big) * rule.sigma
-    if isinstance(rule, MedianBased):
+        tau = lambda_star(beta) * math.sqrt(big) * rule.sigma
+    elif isinstance(rule, MedianBased):
         if s is None or np.asarray(s).size == 0:
             raise ValueError("median-based rule needs the observed spectrum")
-        return omega(beta) * median_singular_value(np.asarray(s, dtype=np.float64))
-    raise TypeError(f"unknown threshold rule {rule!r}")
+        tau = omega(beta) * median_singular_value(np.asarray(s, dtype=np.float64))
+    else:
+        raise TypeError(f"unknown threshold rule {rule!r}")
+    if s is not None and np.asarray(s).size:
+        tau = max(tau, big * _EPS * float(np.max(s)))
+    return tau
 
 
 def _checked_spectrum(s) -> np.ndarray:

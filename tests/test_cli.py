@@ -82,6 +82,16 @@ def test_denoise_pure_noise_warns_and_writes_zero(tmp_path, capsys):
     np.testing.assert_array_equal(read_tensor(dst), np.zeros((12, 12, 12)))
 
 
+def test_denoise_all_zero_median_warns_and_writes_zero(tmp_path, capsys):
+    src, dst = tmp_path / "zero.txt", tmp_path / "out.txt"
+    write_tensor(np.zeros((3, 4, 5)), src)
+    assert main(["denoise", str(src), str(dst)]) == 0
+    captured = capsys.readouterr()
+    assert "zero tensor" in captured.err
+    assert all(line.endswith("rank=0") for line in captured.out.strip().splitlines())
+    np.testing.assert_array_equal(read_tensor(dst), np.zeros((3, 4, 5)))
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "denoise" in capsys.readouterr().out

@@ -6,6 +6,8 @@ behavior of the denoiser (rank discovery, degeneracy on pure noise) is
 pinned at fixed seeds.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,30 @@ def test_tarst_pure_noise_degenerates_to_zero():
         assert report.degenerate
         assert report.estimated_ranks == (0, 0, 0)
         assert frobenius_norm(reconstruct(report.model)) == 0.0
+
+
+def test_tarst_all_zero_input_degenerates_under_both_rules():
+    y = np.zeros((4, 5, 6))
+    for rule in (MedianBased(), KnownSigma(1.0)):
+        report = tarst(y, rule)
+        assert report.degenerate
+        assert report.estimated_ranks == (0, 0, 0)
+        np.testing.assert_array_equal(reconstruct(report.model), y)
+
+
+@pytest.mark.parametrize("c", [1.0, -3.7, 1e-300, 1e-200, 1e300])
+def test_tarst_constant_tensor_has_rank_one(c):
+    # roundoff singular values of a constant tensor sit below the
+    # max(m, n) * eps * s_max floor, at every magnitude; the known sigma is
+    # far below that floor, so only the floor keeps them out
+    y = np.full((4, 4, 4), c)
+    for rule in (MedianBased(), KnownSigma(abs(c) * 1e-20)):
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            report = tarst(y, rule)
+            est = reconstruct(report.model)
+        assert report.estimated_ranks == (1, 1, 1)
+        np.testing.assert_allclose(est, y, rtol=1e-12)
 
 
 def test_tarst_report_bookkeeping():

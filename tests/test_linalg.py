@@ -1,24 +1,105 @@
-"""Tests for the SVD wrapper, the call counter, and the median convention."""
+"""Tests for the SVD wrapper (Gram and LAPACK paths), the call counter, and
+the median convention."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tarst.linalg import SvdFactor, median_singular_value, svd, svd_call_count
 from tarst.svht import mp_median
 
 
 def test_svd_reconstructs():
+    # u orthonormal and u diag(s^2) u^T == a a^T on both paths (tall,
+    # square and wide shapes)
     rng = np.random.default_rng(1)
-    for shape in [(6, 6), (4, 9), (9, 4), (1, 5), (7, 1)]:
+    for shape in [(6, 6), (4, 9), (9, 4), (1, 5), (7, 1), (5, 40)]:
         a = rng.standard_normal(shape)
         f = svd(a)
         q = min(shape)
         assert f.u.shape == (shape[0], q)
         assert f.s.shape == (q,)
-        assert f.vt.shape == (q, shape[1])
-        np.testing.assert_allclose(f.u @ np.diag(f.s) @ f.vt, a,
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(q), atol=1e-12)
+        np.testing.assert_allclose(f.u @ np.diag(f.s ** 2) @ f.u.T, a @ a.T,
                                    rtol=1e-10, atol=1e-10)
         assert np.all(np.diff(f.s) <= 0)
+        assert np.all(f.s >= 0)
+
+
+def _wide_with_spectrum(rng, s, n):
+    m = s.size
+    q1 = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    return (q1 * s) @ q2.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(2, 6), st.floats(2.0, 100.0),
+       st.integers(-600, 600), st.integers(0, 2 ** 32 - 1), st.data())
+def test_svd_wide_well_conditioned_matches_lapack(m, widen, cond, exp2, seed, data):
+    # geometric spectrum from 1 down to 1/cond: well above the Gram gate and
+    # with a relative gap of at least 1 - cond**(-2/9) between neighbours
+    rng = np.random.default_rng(seed)
+    s_true = np.geomspace(1.0, 1.0 / cond, m)
+    a = np.ldexp(_wide_with_spectrum(rng, s_true, widen * m), exp2)
+    f = svd(a)
+    u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+    np.testing.assert_allclose(f.s, s_ref, rtol=1e-10, atol=0)
+    r = data.draw(st.integers(1, m))
+    proj = f.u[:, :r] @ f.u[:, :r].T
+    proj_ref = u_ref[:, :r] @ u_ref[:, :r].T
+    np.testing.assert_allclose(proj, proj_ref, rtol=0, atol=1e-10)
+
+
+def test_svd_wide_rank_deficient_takes_lapack_path():
+    # exactly or nearly rank-deficient wide inputs fail the Gram conditioning
+    # gate and must come back bit for bit as LAPACK computes them; the last
+    # one (s_min / s_max = 1e-5) would lose ~6 digits of s_min on the Gram path
+    rng = np.random.default_rng(3)
+    low_rank = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 50))
+    dup_row = rng.standard_normal((4, 30))
+    dup_row[3] = dup_row[0]
+    ill = _wide_with_spectrum(rng, np.geomspace(1.0, 1e-5, 6), 60)
+    for a in (low_rank, dup_row, np.full((4, 16), 7.0), np.zeros((3, 12)), ill):
+        f = svd(a)
+        u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+        np.testing.assert_array_equal(f.s, s_ref)
+        np.testing.assert_array_equal(f.u, u_ref)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_svd_wide_extreme_magnitudes(scale):
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((6, 50))
+    a = scale * g
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        f = svd(a)
+    s_ref = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(f.s, s_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(f.u @ f.u.T, np.eye(6), atol=1e-12)
+
+
+def test_svd_gram_path_scales_exactly_by_powers_of_two(monkeypatch):
+    # a Gaussian block, and a spectrum as spread as a denoising unfolding with
+    # a strong constant-mean component (lambda_min / lambda_max ~ 1e-5)
+    rng = np.random.default_rng(5)
+    gauss = rng.standard_normal((5, 40))
+    spread = _wide_with_spectrum(rng, np.geomspace(1.0, 3e-3, 5), 40)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("wide well-conditioned input left the Gram path")
+
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    for a in (gauss, spread):
+        base = svd(a)
+        for k in (-1000, -37, 1, 52, 1000):
+            f = svd(np.ldexp(a, k))
+            np.testing.assert_array_equal(f.s, np.ldexp(base.s, k))
+            np.testing.assert_array_equal(f.u, base.u)
 
 
 def test_svd_identity_and_rank_one():
@@ -70,7 +151,7 @@ def test_median_odd_and_even_conventions():
 
 
 def test_median_accepts_factor_or_array():
-    f = SvdFactor(u=np.eye(2), s=np.array([2.0, 1.0]), vt=np.eye(2))
+    f = SvdFactor(u=np.eye(2), s=np.array([2.0, 1.0]))
     assert median_singular_value(f) == 1.5
     assert median_singular_value([2.0, 1.0]) == 1.5
 

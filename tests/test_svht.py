@@ -203,6 +203,18 @@ def test_threshold_median_based_formula():
         want, rel=1e-12)
 
 
+def test_threshold_floored_at_roundoff_level():
+    eps = np.finfo(np.float64).eps
+    s = np.array([8.0, 1e-15, 0.0, 0.0])
+    floor = 16 * eps * 8.0
+    assert threshold_for_unfolding(4, 16, KnownSigma(1e-30), s) == floor
+    assert threshold_for_unfolding(16, 4, MedianBased(), s) == floor
+    # the floor never lowers a cutoff and needs the spectrum
+    assert threshold_for_unfolding(4, 16, KnownSigma(1.0), s) == lambda_star(0.25) * 4.0
+    assert threshold_for_unfolding(4, 16, KnownSigma(1e-30), None) < floor
+    assert threshold_for_unfolding(4, 16, MedianBased(), np.zeros(4)) == 0.0
+
+
 def test_threshold_rule_validation():
     with pytest.raises(ValueError, match="needs the observed spectrum"):
         threshold_for_unfolding(3, 4, MedianBased())
