@@ -18,8 +18,8 @@ from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
                    lambda_star, mp_median, omega, soft_threshold,
                    threshold_for_unfolding)
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
-from .tensor_ops import (axpy, fold, frobenius_norm, mode_product,
-                         multi_mode_product, unfold)
+from .tensor_ops import (fold, frobenius_norm, mode_product, multi_mode_product,
+                         unfold)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "lambda_star", "mp_median", "omega", "soft_threshold",
     "threshold_for_unfolding",
     "TensorFormatError", "read_tensor", "write_tensor",
-    "axpy", "fold", "frobenius_norm", "mode_product", "multi_mode_product",
+    "fold", "frobenius_norm", "mode_product", "multi_mode_product",
     "unfold",
     "__version__",
 ]

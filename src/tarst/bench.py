@@ -14,17 +14,12 @@ seed and the cell's grid indices, so results are reproducible and adding
 grid points never perturbs existing cells. Records go to CSV with
 shortest-round-trip float formatting; all columns except wall_time_ms are
 bit-reproducible across reruns of the same config.
-
-Trials run sequentially. The TARST_THREADS environment variable is honoured
-as an upper bound on worker parallelism; since the runner's default (and
-only) level is one worker, any valid setting leaves behaviour unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -248,21 +243,6 @@ def inject_outliers(x, ratio: float, scale: float, seed: int,
     return out, mask.reshape(a.shape)
 
 
-def _parallel_workers() -> int:
-    """Worker count: 1, optionally capped further by TARST_THREADS (a cap of
-    0 or an unset variable means the implementation default, which is 1)."""
-    raw = os.environ.get("TARST_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"TARST_THREADS must be a nonnegative integer, got {raw!r}")
-    if cap < 0:
-        raise ValueError(f"TARST_THREADS must be a nonnegative integer, got {raw!r}")
-    return 1 if cap == 0 else min(cap, 1)
-
-
 def _run_method(method, y, truth, cfg, sigma, trial_seed):
     rule = KnownSigma(sigma) if cfg.sigma_known else MedianBased()
     calls_before = svd_call_count()
@@ -311,7 +291,6 @@ def _truths(cfg):
 
 def run_pattern1(cfg: Pattern1Config):
     """Noise sweep: one record per (sigma, rep, method), in grid order."""
-    _parallel_workers()
     truths = _truths(cfg)
     records = []
     for i, sigma in enumerate(cfg.sigma_grid):
@@ -325,7 +304,6 @@ def run_pattern1(cfg: Pattern1Config):
 
 def run_pattern2(cfg: Pattern2Config):
     """Outlier grid: one record per (sigma, ratio, scale, rep, method)."""
-    _parallel_workers()
     truths = _truths(cfg)
     records = []
     for i, sigma in enumerate(cfg.sigma_grid):

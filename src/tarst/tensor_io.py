@@ -3,13 +3,24 @@
 Format: line 1 holds the order N, line 2 the N extents, and the rest the
 P = prod(extents) values in the canonical C linearization, separated by
 arbitrary whitespace. Lines starting with ``#`` are comments and are
-skipped wherever they appear. Values are written with shortest round-trip
-precision, so write followed by read is bit-exact.
+skipped wherever they appear; a ``#`` later in a line is an ordinary
+token. Values are written with shortest round-trip precision (``repr``),
+one row of the trailing axis per line, so write followed by read is
+bit-exact.
+
+Reading streams the tokens of the data lines straight into one
+preallocated array and checks finiteness in one vectorized pass; no
+whole-file token list is built. Only when that fails does the reader walk
+the tokens one at a time, and only to name the first bad token and its
+1-based line, so errors and their line numbers do not depend on the fast
+path. Writing joins the ``repr`` of the values of each row; the written
+bytes are the same as those of earlier versions of this module.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,19 +35,45 @@ class TensorFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def _is_data(line_tokens) -> bool:
+    """True for the tokens of a line that is neither blank nor a comment."""
+    return bool(line_tokens) and not line_tokens[0].startswith("#")
+
+
 def _tokens(lines):
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        for tok in stripped.split():
-            yield lineno, tok
+        toks = raw.split()
+        if _is_data(toks):
+            for tok in toks:
+                yield lineno, tok
 
 
 def read_tensor(path) -> np.ndarray:
     """Read one tensor from ``path``; raises :class:`TensorFormatError` on bad input."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
+    toks = chain.from_iterable(filter(_is_data, map(str.split, lines)))
+    try:
+        ndim = int(next(toks))
+        shape = [int(tok) for tok in islice(toks, ndim)]
+        count = math.prod(shape)
+        # each value follows at least one whitespace character, so a count
+        # above half the file's length cannot be met: refuse it before
+        # allocating, however large the header claims the tensor is
+        if (ndim >= 1 and len(shape) == ndim and min(shape) >= 1
+                and 2 * count <= sum(map(len, lines))):
+            values = np.fromiter(map(float, islice(toks, count)), np.float64, count=count)
+            if np.isfinite(values).all() and next(toks, None) is None:
+                return values.reshape(shape)
+    except (StopIteration, ValueError):
+        pass
+    # the streamed parse failed: find the first offending token and its line
+    _raise_first_error(lines)
+    raise AssertionError("the streamed parse and the token walk disagree")
+
+
+def _raise_first_error(lines) -> None:
+    """Walk the tokens one by one and raise for the first that breaks the format."""
     toks = _tokens(lines)
 
     def next_token(what):
@@ -68,7 +105,6 @@ def read_tensor(path) -> np.ndarray:
         shape.append(extent)
 
     count = math.prod(shape)
-    values = np.empty(count, dtype=np.float64)
     for i in range(count):
         lineno, tok = next_token(f"{count} values (got {i})")
         try:
@@ -77,13 +113,10 @@ def read_tensor(path) -> np.ndarray:
             raise TensorFormatError(f"bad value {tok!r}", line=lineno) from None
         if not math.isfinite(v):
             raise TensorFormatError(f"non-finite value {tok!r}", line=lineno)
-        values[i] = v
 
     for lineno, tok in toks:
         raise TensorFormatError(
             f"trailing data {tok!r}: expected exactly {count} values", line=lineno)
-
-    return values.reshape(shape)
 
 
 def write_tensor(t, path) -> None:
@@ -91,14 +124,13 @@ def write_tensor(t, path) -> None:
     a = np.asarray(t, dtype=np.float64)
     if a.ndim < 1:
         raise ValueError("tensor must have at least one mode")
+    if a.size == 0:
+        raise ValueError(f"tensor extents must be >= 1, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("tensor has non-finite entries")
-    flat = a.ravel()
-    # one row of the trailing axis per line keeps files greppable
-    per_line = a.shape[-1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{a.ndim}\n")
         fh.write(" ".join(str(s) for s in a.shape) + "\n")
-        for start in range(0, flat.size, per_line):
-            fh.write(" ".join(repr(float(v)) for v in flat[start:start + per_line]))
-            fh.write("\n")
+        # one row of the trailing axis per line keeps files greppable
+        fh.writelines(" ".join(map(repr, row.tolist())) + "\n"
+                      for row in a.reshape(-1, a.shape[-1]))

@@ -22,7 +22,6 @@ __all__ = [
     "mode_product",
     "multi_mode_product",
     "frobenius_norm",
-    "axpy",
 ]
 
 
@@ -106,12 +105,3 @@ def multi_mode_product(t, factors, transpose: bool = False, skip=None) -> np.nda
 def frobenius_norm(t) -> float:
     """sqrt of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
-
-
-def axpy(a: float, x, y) -> np.ndarray:
-    """Elementwise a*x + y; shapes must match."""
-    xa = _as_float_array(x)
-    ya = _as_float_array(y)
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    return float(a) * xa + ya

@@ -371,21 +371,6 @@ def test_pattern1_cells_independent_of_grid_extension():
         [(r.method, r.seed, r.rrse) for r in rb]
 
 
-def test_tarst_threads_env(monkeypatch):
-    cfg = Pattern1Config(shape=(5, 5, 5), true_ranks=(2, 2, 2),
-                         sigma_grid=(1.0,), reps=1, methods=("Baseline",))
-    monkeypatch.setenv("TARST_THREADS", "4")
-    assert len(run_pattern1(cfg)) == 1
-    monkeypatch.setenv("TARST_THREADS", "0")
-    assert len(run_pattern1(cfg)) == 1
-    monkeypatch.setenv("TARST_THREADS", "abc")
-    with pytest.raises(ValueError, match="TARST_THREADS"):
-        run_pattern1(cfg)
-    monkeypatch.setenv("TARST_THREADS", "-2")
-    with pytest.raises(ValueError, match="TARST_THREADS"):
-        run_pattern1(cfg)
-
-
 # --- run_pattern2 ---
 
 

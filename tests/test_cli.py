@@ -65,6 +65,16 @@ def test_denoise_malformed_input_exits_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_denoise_huge_declared_shape_exits_2(tmp_path, capsys):
+    src = tmp_path / "huge.txt"
+    src.write_text("2\n100000 1000000\n1 2 3\n")
+    assert main(["denoise", str(src), str(tmp_path / "o.txt")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "parse error: line 3: unexpected end of file, "
+        "expected 100000000000 values (got 3)")
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_denoise_missing_input_exits_4(tmp_path, capsys):
     assert main(["denoise", str(tmp_path / "nope.txt"),
                  str(tmp_path / "o.txt")]) == 4

@@ -219,3 +219,44 @@ def test_read_crlf_line_endings(tmp_path):
     # a lone carriage return also ends a line
     p.write_bytes(b"1\r3\r1 2 y\r")
     _expect_exact(p, "bad value 'y'", 3)
+
+
+def test_read_rejects_huge_declared_count_before_allocating(tmp_path):
+    # 1e11 values cannot fit in a 20-byte file: same error as any short file
+    p = tmp_path / "huge.txt"
+    p.write_text("2\n100000 1000000\n1 2 3\n")
+    _expect_exact(p, "unexpected end of file, expected 100000000000 values (got 3)", 3)
+    # a bad token before the end still wins, as in a short file
+    p.write_text("1\n99999999999999999999\n1 x\n")
+    _expect_exact(p, "bad value 'x'", 3)
+
+
+def test_write_rejects_zero_extent(tmp_path):
+    for shape in [(0,), (2, 0), (0, 3, 1)]:
+        with pytest.raises(ValueError, match=r"extents must be >= 1, got shape"):
+            write_tensor(np.zeros(shape), tmp_path / "t.txt")
+    assert not (tmp_path / "t.txt").exists()
+
+
+# arbitrary text from a tokenizer-hostile alphabet: unicode whitespace, lone
+# carriage returns, '#' inside lines, underscores, non-ASCII digits
+_soup = st.lists(st.sampled_from(
+    ["0", "1", "2", "-1", "1.5", "x", "#", "# c", "nan", "1e999", "10000000000",
+     " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ",
+     " ", "　", "-0.0", "5e-324", "1_0", "+2", "٣"]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_soup)
+def test_read_outcome_is_an_array_or_a_located_format_error(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("soup") / "t.txt"
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        a = read_tensor(p)
+    except TensorFormatError as e:
+        assert e.line is not None
+        assert 0 <= e.line <= len(open(p, encoding="utf-8").readlines())
+    else:
+        assert a.dtype == np.float64 and a.size >= 1 and np.isfinite(a).all()

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (finite_floats, tensor_and_mode, tensors,
-                      tensor_two_modes_two_factors)
-from tarst.tensor_ops import (axpy, fold, frobenius_norm, mode_product,
+from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
+from tarst.tensor_ops import (fold, frobenius_norm, mode_product,
                               multi_mode_product, unfold)
 
 # t[i, j, k] = 1 + 4i + 2j + k, so each unfolding below can be checked by eye
@@ -179,14 +178,3 @@ def test_frobenius_norm_loop_oracle():
     want = np.sqrt(sum(x * x for x in t.ravel()))
     assert frobenius_norm(t) == pytest.approx(want, rel=1e-14)
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
-
-
-@given(tensors(), finite_floats)
-def test_axpy_matches_elementwise(t, a):
-    out = axpy(a, t, t)
-    np.testing.assert_allclose(out, (a + 1.0) * t, rtol=1e-12, atol=1e-9)
-
-
-def test_axpy_rejects_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        axpy(1.0, np.zeros((2, 3)), np.zeros((3, 2)))
