@@ -252,14 +252,16 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed):
         est = y
     elif method == "HOSVD":
         # rank-specified methods get the generator's nominal ranks; the
-        # constant-mean component is deliberately not counted toward them
-        info = tuple(cfg.true_ranks)
-        est = reconstruct(hosvd(y, info))
-        ranks_out = info
+        # constant-mean component is deliberately not counted toward them;
+        # the record holds the ranks of the model returned, which a small
+        # mode can cap below the nominal ones
+        model = hosvd(y, cfg.true_ranks)
+        est = reconstruct(model)
+        ranks_out = model.ranks
     elif method == "HOOI":
-        info = tuple(cfg.true_ranks)
-        est = reconstruct(hooi(y, info))
-        ranks_out = info
+        model = hooi(y, cfg.true_ranks)
+        est = reconstruct(model)
+        ranks_out = model.ranks
     elif method == "TARST":
         report = tarst(y, rule, shrink=cfg.shrink)
         est = reconstruct(report.model)

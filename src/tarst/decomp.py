@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import svd
 from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
                    soft_threshold, threshold_for_unfolding)
-from .tensor_ops import frobenius_norm, multi_mode_product, unfold
+from .tensor_ops import frobenius_norm, mode_product, multi_mode_product, unfold
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
 
@@ -94,7 +94,11 @@ def hosvd(y, ranks) -> TuckerModel:
     """Truncated higher-order SVD at the given per-mode ranks.
 
     Factor k holds the first ranks[k] left singular vectors of the mode-k
-    unfolding; the core is y contracted with all factor transposes.
+    unfolding; the core is y contracted with all factor transposes. The
+    I_k x prod(I_j, j != k) unfolding has at most prod(I_j, j != k) singular
+    vectors, so mode k's rank is capped there: ``hosvd(y, (5, 2, 2))`` on a
+    10 x 2 x 2 tensor returns ranks (4, 2, 2). ``TuckerModel.ranks`` gives
+    the ranks actually returned.
     """
     a = _validated(y)
     ranks = _check_ranks(a.shape, ranks)
@@ -110,6 +114,21 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
     fit ||core||_F / ||y||_F is nondecreasing across sweeps; iteration stops
     when it moves by less than ``tol`` or after ``max_iter`` sweeps.
 
+    A sweep carries the prefix ``y x_0 U_0^T ... x_{k-1} U_{k-1}^T`` of the
+    factors it has already updated (the memoized tensor-times-matrix chain
+    of Kolda & Bader, SIAM Review 2009, section 4.2). Mode k's projection is
+    the prefix times the transposes of factors k+1 ... N-1; once mode k is
+    solved the prefix takes ``x_k U_k^T``, and after the last mode it is the
+    core. That is N(N-1)/2 + N mode products per sweep instead of N^2 (6
+    instead of 9 for N = 3, two of them on the full-size input instead of
+    four), in the same order and on the same operands as projecting from
+    scratch, so the result is the same bit for bit.
+
+    The projection for mode k has prod(r_j, j != k) columns, so mode k's
+    rank is capped by the other ranks as well as by the other extents:
+    ``hooi(y, (4, 1, 1))`` returns ranks (1, 1, 1). ``TuckerModel.ranks``
+    gives the ranks actually returned.
+
     With ``return_fits=True`` also returns the per-sweep fit values.
     """
     a = _validated(y)
@@ -119,16 +138,20 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
     if int(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
-    factors = list(hosvd(a, ranks).factors)
+    start = hosvd(a, ranks)
+    factors = list(start.factors)
     ynorm = frobenius_norm(a)
-    core = _core(a, factors)
-    prev_fit = frobenius_norm(core) / ynorm if ynorm > 0 else 0.0
+    prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
     for _ in range(int(max_iter)):
+        prefix = a
         for k in range(a.ndim):
-            w = multi_mode_product(a, factors, transpose=True, skip=k)
+            w = prefix
+            for j in range(k + 1, a.ndim):
+                w = mode_product(w, factors[j].T, j)
             factors[k] = svd(unfold(w, k)).u[:, :ranks[k]]
-        core = _core(a, factors)
+            prefix = mode_product(prefix, factors[k].T, k)
+        core = prefix
         fit = frobenius_norm(core) / ynorm if ynorm > 0 else 0.0
         fits.append(fit)
         if abs(fit - prev_fit) < tol:

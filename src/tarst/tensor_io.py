@@ -13,8 +13,10 @@ preallocated array and checks finiteness in one vectorized pass; no
 whole-file token list is built. Only when that fails does the reader walk
 the tokens one at a time, and only to name the first bad token and its
 1-based line, so errors and their line numbers do not depend on the fast
-path. Writing joins the ``repr`` of the values of each row; the written
-bytes are the same as those of earlier versions of this module.
+path. Files are UTF-8; a byte that does not decode is a format error on
+the line that holds it. Writing joins the ``repr`` of the values of each
+row; the written bytes are the same as those of earlier versions of this
+module.
 """
 
 from __future__ import annotations
@@ -50,8 +52,12 @@ def _tokens(lines):
 
 def read_tensor(path) -> np.ndarray:
     """Read one tensor from ``path``; raises :class:`TensorFormatError` on bad input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        _raise_decode_error(path)
+        raise
     toks = chain.from_iterable(filter(_is_data, map(str.split, lines)))
     try:
         ndim = int(next(toks))
@@ -70,6 +76,20 @@ def read_tensor(path) -> np.ndarray:
     # the streamed parse failed: find the first offending token and its line
     _raise_first_error(lines)
     raise AssertionError("the streamed parse and the token walk disagree")
+
+
+def _raise_decode_error(path) -> None:
+    """Raise for the first byte of ``path`` that is not UTF-8, with its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8")
+        # count line ends as universal-newline reading does: \r\n, \r or \n
+        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise TensorFormatError(
+            f"not UTF-8 text: byte 0x{data[e.start]:02x} ({e.reason})", line=line) from None
 
 
 def _raise_first_error(lines) -> None:

@@ -286,6 +286,14 @@ def test_pattern1_bookkeeping():
     assert records[0].sigma == records[len(METHODS) * cfg.reps - 1].sigma == 0.5
 
 
+def test_rank_given_records_hold_the_ranks_returned():
+    # the 6 x 4 mode-1 unfolding has four singular vectors, so HOSVD and
+    # HOOI return rank 4 there although rank 5 was asked for
+    cfg = _p1_small(shape=(6, 2, 2), true_ranks=(5, 2, 2), sigma_grid=(1.0,), reps=1)
+    got = {r.method: r.estimated_ranks for r in run_pattern1(cfg)}
+    assert got["HOSVD"] == got["HOOI"] == (4, 2, 2)
+
+
 def test_pattern1_baseline_matches_noise_norm_oracle():
     cfg = Pattern1Config(shape=(10, 10, 10), true_ranks=(3, 3, 3),
                          sigma_grid=(0.5, 1.0), reps=3, seed=5,

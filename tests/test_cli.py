@@ -75,6 +75,15 @@ def test_denoise_huge_declared_shape_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.txt").exists()
 
 
+def test_denoise_non_utf8_input_exits_2(tmp_path, capsys):
+    src = tmp_path / "bytes.txt"
+    src.write_bytes(b"1\n2\n1 \xff\n")
+    assert main(["denoise", str(src), str(tmp_path / "o.txt")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "parse error: line 3: not UTF-8 text: byte 0xff (invalid start byte)")
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_denoise_missing_input_exits_4(tmp_path, capsys):
     assert main(["denoise", str(tmp_path / "nope.txt"),
                  str(tmp_path / "o.txt")]) == 4

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
-from tarst.linalg import svd_call_count
+from tarst.linalg import svd, svd_call_count
 from tarst.svht import KnownSigma, MedianBased
 from tarst.tensor_ops import frobenius_norm, multi_mode_product
 
@@ -111,6 +111,81 @@ def test_hooi_fit_monotone_nondecreasing():
 def test_hooi_zero_input_is_handled():
     model = hooi(np.zeros((3, 4, 5)), (2, 2, 2))
     assert frobenius_norm(reconstruct(model)) == 0.0
+
+
+def _hooi_reference(y, ranks, tol=1e-8, max_iter=50):
+    """HOOI with every projection formed from scratch each sweep, as
+    ``multi_mode_product(y, factors, transpose=True, skip=k)`` did, with
+    tensordot + moveaxis mode products."""
+    def project(t, factors, skip=None):
+        for j, u in enumerate(factors):
+            if j != skip:
+                t = np.moveaxis(np.tensordot(u.T, t, axes=([1], [j])), 0, j)
+        return t
+
+    def unf(t, k):
+        return np.moveaxis(t, k, 0).reshape(t.shape[k], -1)
+
+    factors = [svd(unf(y, k)).u[:, :r] for k, r in enumerate(ranks)]
+    ynorm = frobenius_norm(y)
+    core = project(y, factors)
+    prev_fit = frobenius_norm(core) / ynorm if ynorm > 0 else 0.0
+    fits = []
+    for _ in range(max_iter):
+        for k in range(y.ndim):
+            factors[k] = svd(unf(project(y, factors, skip=k), k)).u[:, :ranks[k]]
+        core = project(y, factors)
+        fit = frobenius_norm(core) / ynorm if ynorm > 0 else 0.0
+        fits.append(fit)
+        if abs(fit - prev_fit) < tol:
+            break
+        prev_fit = fit
+    return core, factors, fits
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_rng_hooi = np.random.default_rng(41)
+
+
+@pytest.mark.parametrize("y, ranks, max_iter", [
+    (_rng_hooi.standard_normal((6, 7, 8)), (2, 3, 4), 50),
+    (_rng_hooi.standard_normal((10, 10, 10)), (3, 3, 3), 50),
+    (random_tucker(_rng_hooi, (6, 7, 8), (2, 3, 4)), (2, 3, 4), 50),
+    (_rng_hooi.standard_normal((4, 5, 3, 6)), (2, 2, 3, 2), 50),
+    (_rng_hooi.standard_normal((3, 4, 2, 5)), (1, 3, 2, 4), 50),
+    (_rng_hooi.standard_normal((5, 1, 6)), (3, 1, 2), 50),
+    (_rng_hooi.standard_normal((1, 4, 4)), (1, 2, 4), 50),
+    (_rng_hooi.standard_normal((4, 5, 6)), (4, 5, 6), 50),
+    (_rng_hooi.standard_normal((10, 10, 10)), (4, 1, 1), 50),
+    (np.zeros((3, 4, 5)), (2, 2, 2), 50),
+    (_rng_hooi.standard_normal((6, 7, 8)), (2, 3, 4), 1),
+    (_rng_hooi.standard_normal((3, 4, 5, 2)), (2, 2, 2, 1), 1),
+    (_rng_hooi.standard_normal((7, 9)), (3, 3), 50),
+    (_rng_hooi.standard_normal(6), (2,), 50),
+])
+def test_hooi_bit_identical_to_projection_from_scratch(y, ranks, max_iter):
+    model, fits = hooi(y, ranks, tol=1e-10, max_iter=max_iter, return_fits=True)
+    core, factors, want_fits = _hooi_reference(y, ranks, tol=1e-10, max_iter=max_iter)
+    assert fits == want_fits
+    assert _same_bits(model.core, core)
+    assert len(model.factors) == len(factors)
+    assert all(_same_bits(u, v) for u, v in zip(model.factors, factors))
+
+
+def test_returned_ranks_are_capped_by_other_modes():
+    rng = np.random.default_rng(43)
+    # HOOI's projection for mode 0 has 1 x 1 columns after modes 1 and 2
+    assert hooi(rng.standard_normal((10, 10, 10)), (4, 1, 1)).ranks == (1, 1, 1)
+    # the 10 x 4 unfolding has only four singular vectors
+    y = rng.standard_normal((10, 2, 2))
+    assert hosvd(y, (5, 2, 2)).ranks == (4, 2, 2)
+    assert hooi(y, (5, 2, 2)).ranks == (4, 2, 2)
+    # the core matches the ranks actually returned
+    model = hooi(y, (5, 2, 2))
+    assert model.core.shape == model.ranks
 
 
 def test_hooi_validation():

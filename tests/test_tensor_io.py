@@ -221,6 +221,21 @@ def test_read_crlf_line_endings(tmp_path):
     _expect_exact(p, "bad value 'y'", 3)
 
 
+def test_read_rejects_non_utf8_byte_with_its_line(tmp_path):
+    p = tmp_path / "bytes.txt"
+    p.write_bytes(b"1\n2\n1 \xff\n")
+    _expect_exact(p, "not UTF-8 text: byte 0xff (invalid start byte)", 3)
+    # the first undecodable byte wins over a bad token before it
+    p.write_bytes(b"1\r\n2\r\nx\r\n\r\n# \xc3\x28\n")
+    _expect_exact(p, "not UTF-8 text: byte 0xc3 (invalid continuation byte)", 5)
+    # lone carriage returns end lines; a sequence cut off by the end of file
+    p.write_bytes(b"1\r2\r1 2 \xe2\x82")
+    _expect_exact(p, "not UTF-8 text: byte 0xe2 (unexpected end of data)", 3)
+    # well-formed non-ASCII text is still read as before
+    p.write_bytes("# caf\u00e9\n1\n2\n1 2\n".encode("utf-8"))
+    np.testing.assert_array_equal(read_tensor(p), [1.0, 2.0])
+
+
 def test_read_rejects_huge_declared_count_before_allocating(tmp_path):
     # 1e11 values cannot fit in a 20-byte file: same error as any short file
     p = tmp_path / "huge.txt"

@@ -114,6 +114,61 @@ def test_mode_product_loop_oracle():
                 assert out[i, r, k] == pytest.approx(want, rel=1e-12)
 
 
+def _tensordot_mode_product(t, u, k):
+    """The n-mode product as tensordot + moveaxis spell it."""
+    return np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.strides == want.strides
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 6), (1, 7), (3, 4, 5), (6, 1, 3),
+                                   (2, 3, 4, 5), (3, 1, 2, 4)])
+def test_mode_product_bit_identical_to_tensordot(shape):
+    rng = np.random.default_rng(sum(shape) * 31 + len(shape))
+    t = rng.standard_normal(shape)
+    # a non-contiguous input too: the moved-axis output of another product
+    t_view = mode_product(t, rng.standard_normal((shape[0], shape[0])), 0)
+    for a in (t, t_view):
+        for k, n in enumerate(shape):
+            for rows in (0, 1, 3, n):
+                u = rng.standard_normal((rows, n))
+                _assert_same_bits(mode_product(a, u, k), _tensordot_mode_product(a, u, k))
+                # transposed (F-ordered) factor, as HOOI and the core apply them
+                ut = rng.standard_normal((n, rows)).T
+                _assert_same_bits(mode_product(a, ut, k), _tensordot_mode_product(a, ut, k))
+
+
+@pytest.mark.parametrize("shape, k", [((0, 3, 4), 0), ((3, 0, 4), 1), ((2, 3, 0), 2),
+                                      ((0,), 0), ((0, 5), 0)])
+def test_mode_product_zero_column_factor(shape, k):
+    # a degenerate TARST mode: the core has extent 0 there, and expanding it
+    # back contracts a factor with no columns; the product is all zeros
+    rng = np.random.default_rng(3)
+    t = np.zeros(shape)
+    for rows in (2, 0):
+        u = rng.standard_normal((rows, 0))
+        got = mode_product(t, u, k)
+        want = _tensordot_mode_product(t, u, k)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not np.any(got)
+
+
+def test_unfold_bit_identical_to_moveaxis_and_zero_sizes():
+    rng = np.random.default_rng(29)
+    t = rng.standard_normal((3, 4, 2, 5))
+    for a in (t, t.transpose(2, 0, 3, 1)):
+        for k in range(4):
+            want = np.moveaxis(a, k, 0).reshape(a.shape[k], -1)
+            _assert_same_bits(unfold(a, k), want)
+    assert unfold(np.zeros((3, 0, 2)), 0).shape == (3, 0)
+    assert unfold(np.zeros((3, 0, 2)), 1).shape == (0, 6)
+
+
 def test_mode_product_rejects_mismatched_factor():
     with pytest.raises(ValueError, match="contract mode"):
         mode_product(np.zeros((2, 3)), np.zeros((4, 5)), 1)
@@ -144,15 +199,14 @@ def test_multi_mode_product_matches_sequential():
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
 
 
-def test_multi_mode_product_skip_and_none():
+def test_multi_mode_product_none_leaves_mode_alone():
     rng = np.random.default_rng(17)
     t = rng.standard_normal((3, 4, 5))
     us = [rng.standard_normal((2, 3)), rng.standard_normal((6, 4)),
           rng.standard_normal((2, 5))]
-    skipped = multi_mode_product(t, us, skip=1)
     via_none = multi_mode_product(t, [us[0], None, us[2]])
-    np.testing.assert_array_equal(skipped, via_none)
-    assert skipped.shape == (2, 4, 2)
+    np.testing.assert_array_equal(via_none, mode_product(mode_product(t, us[0], 0), us[2], 2))
+    assert via_none.shape == (2, 4, 2)
     with pytest.raises(ValueError, match="expected 3 factors"):
         multi_mode_product(t, us[:2])
 
