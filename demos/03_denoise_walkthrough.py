@@ -25,7 +25,7 @@ print(f"observation: sigma = {sigma}, raw rrse = {rrse(y, truth):.4f}\n")
 report = tarst(y, MedianBased())
 print("median-calibrated run, per mode:")
 for k, (tau, kept, dropped) in enumerate(zip(report.thresholds,
-                                             report.retained_counts,
+                                             report.estimated_ranks,
                                              report.discarded_counts), start=1):
     print(f"  mode {k}: threshold {tau:8.3f}  kept {kept}  dropped {dropped}")
 print("estimated ranks:", report.estimated_ranks, "(true:", ranks, ")")

@@ -15,8 +15,7 @@ from .decomp import TarstReport, TuckerModel, hooi, hosvd, reconstruct, tarst
 from .linalg import SvdFactor, median_singular_value, svd, svd_call_count
 from .metrics import SummaryStat, rrse, summarize
 from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
-                   lambda_star, mp_median, omega, soft_threshold,
-                   threshold_for_unfolding)
+                   lambda_star, mp_median, omega, threshold_for_unfolding)
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .tensor_ops import (fold, frobenius_norm, mode_product, multi_mode_product,
                          unfold)
@@ -32,8 +31,7 @@ __all__ = [
     "SvdFactor", "median_singular_value", "svd", "svd_call_count",
     "SummaryStat", "rrse", "summarize",
     "KnownSigma", "MedianBased", "ThresholdRule", "hard_threshold",
-    "lambda_star", "mp_median", "omega", "soft_threshold",
-    "threshold_for_unfolding",
+    "lambda_star", "mp_median", "omega", "threshold_for_unfolding",
     "TensorFormatError", "read_tensor", "write_tensor",
     "fold", "frobenius_norm", "mode_product", "multi_mode_product",
     "unfold",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .decomp import hooi, hosvd, reconstruct, tarst
 from .linalg import svd_call_count
-from .metrics import rrse, summarize
+from .metrics import rrse
 from .svht import KnownSigma, MedianBased
 from .tensor_ops import multi_mode_product
 
@@ -101,8 +101,6 @@ def _check_common(cfg):
     ranks = tuple(int(r) for r in cfg.true_ranks)
     if len(ranks) != len(shape) or any(not 1 <= r <= i for r, i in zip(ranks, shape)):
         raise ValueError(f"true_ranks {cfg.true_ranks!r} invalid for shape {shape}")
-    if cfg.shrink not in ("hard", "soft"):
-        raise ValueError(f"shrink must be 'hard' or 'soft', got {cfg.shrink!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ class Pattern1Config:
     seed: int = 0
     methods: tuple = METHODS
     sigma_known: bool = False  # give TARST the injected sigma instead of the median rule
-    shrink: str = "hard"
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(i) for i in self.shape))
@@ -146,7 +143,6 @@ class Pattern2Config:
     seed: int = 0
     methods: tuple = METHODS
     sigma_known: bool = False
-    shrink: str = "hard"
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(i) for i in self.shape))
@@ -263,7 +259,7 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed):
         est = reconstruct(model)
         ranks_out = model.ranks
     elif method == "TARST":
-        report = tarst(y, rule, shrink=cfg.shrink)
+        report = tarst(y, rule)
         est = reconstruct(report.model)
         ranks_out = report.estimated_ranks
     else:  # config validation makes this unreachable
@@ -392,7 +388,8 @@ def mean_rrse_by_cell(records):
     for r in records:
         cells.setdefault((r.method, r.sigma, r.outlier_ratio, r.outlier_scale),
                          []).append(r.rrse)
-    return {key: summarize(vals).mean for key, vals in cells.items()}
+    return {key: float(np.asarray(vals, dtype=np.float64).mean())
+            for key, vals in cells.items()}
 
 
 def write_matrix_file(records, path) -> None:

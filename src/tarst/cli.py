@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="known noise standard deviation")
     rule.add_argument("--median", action="store_true",
                       help="median-calibrated threshold (default)")
-    p_den.add_argument("--shrink", choices=("hard", "soft"), default="hard",
-                       help="retention convention (default hard)")
 
     p_thr = sub.add_parser("thresholds", help="print threshold constants")
     p_thr.add_argument("--beta", type=float, required=True,
@@ -85,14 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of Baseline,HOSVD,HOOI,TARST")
         p.add_argument("--sigma-known", action="store_true",
                        help="give TARST the injected sigma instead of the median rule")
-        p.add_argument("--shrink", choices=("hard", "soft"), default="hard")
     return parser
 
 
 def cmd_denoise(ns) -> int:
     y = read_tensor(ns.input)
     rule = KnownSigma(ns.sigma) if ns.sigma is not None else MedianBased()
-    report = tarst(y, rule, shrink=ns.shrink)
+    report = tarst(y, rule)
     for k, (tau, rank) in enumerate(zip(report.thresholds, report.estimated_ranks),
                                     start=1):
         print(f"mode {k}: tau={tau:.6g} rank={rank}")
@@ -134,7 +131,7 @@ def _summary_table(records) -> str:
 
 def _bench_config(ns, pattern: int):
     kwargs = dict(shape=ns.shape, reps=ns.reps, seed=ns.seed, methods=ns.methods,
-                  sigma_known=ns.sigma_known, shrink=ns.shrink)
+                  sigma_known=ns.sigma_known)
     if ns.ranks is not None:
         kwargs["true_ranks"] = ns.ranks
     cls = bench.Pattern1Config if pattern == 1 else bench.Pattern2Config

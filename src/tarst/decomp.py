@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import svd
 from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
-                   soft_threshold, threshold_for_unfolding)
+                   threshold_for_unfolding)
 from .tensor_ops import frobenius_norm, mode_product, multi_mode_product, unfold
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
@@ -50,7 +50,6 @@ class TarstReport:
     model: TuckerModel
     estimated_ranks: tuple
     thresholds: tuple
-    retained_counts: tuple
     discarded_counts: tuple
     degenerate: bool  # True when some mode kept nothing; the estimate is zero
 
@@ -161,7 +160,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
     return (model, fits) if return_fits else model
 
 
-def tarst(y, rule: ThresholdRule, shrink: str = "hard") -> TarstReport:
+def tarst(y, rule: ThresholdRule) -> TarstReport:
     """Rank-free denoising by per-mode singular-value thresholding.
 
     For each mode: unfold, thin SVD, pick the cutoff via
@@ -169,10 +168,11 @@ def tarst(y, rule: ThresholdRule, shrink: str = "hard") -> TarstReport:
     singular values survive. The estimate is the input projected onto the
     kept subspaces. Exactly N SVDs, no iteration, no rank input.
 
-    ``rule`` is :class:`KnownSigma` or :class:`MedianBased`. ``shrink``
-    selects the retention count convention: "hard" (default) keeps values at
-    or above the cutoff; "soft" additionally shrinks the recorded spectrum by
-    tau and so drops boundary values.
+    ``rule`` is :class:`KnownSigma` or :class:`MedianBased`. Under the
+    median rule a mode whose unfolding has a single singular value (a mode
+    of extent 1, or the one mode of a 1-way input) keeps rank 1 unless the
+    input is all zero: one value carries no noise information to threshold
+    against.
 
     If every singular value of some mode falls below its cutoff the estimate
     is the zero tensor and the report is flagged degenerate; so is the
@@ -181,9 +181,6 @@ def tarst(y, rule: ThresholdRule, shrink: str = "hard") -> TarstReport:
     a = _validated(y)
     if not isinstance(rule, (KnownSigma, MedianBased)):
         raise TypeError(f"rule must be KnownSigma or MedianBased, got {rule!r}")
-    if shrink not in ("hard", "soft"):
-        raise ValueError(f"shrink must be 'hard' or 'soft', got {shrink!r}")
-    threshold = hard_threshold if shrink == "hard" else soft_threshold
 
     factors, taus, kept_counts, dropped_counts = [], [], [], []
     for k in range(a.ndim):
@@ -191,7 +188,7 @@ def tarst(y, rule: ThresholdRule, shrink: str = "hard") -> TarstReport:
         f = svd(mat)
         tau = threshold_for_unfolding(mat.shape[0], mat.shape[1], rule, f.s)
         # tau == 0 only for an all-zero unfolding under the median rule
-        rank = threshold(f.s, tau)[1] if tau > 0 else 0
+        rank = hard_threshold(f.s, tau)[1] if tau > 0 else 0
         factors.append(f.u[:, :rank])
         taus.append(float(tau))
         kept_counts.append(rank)
@@ -202,7 +199,6 @@ def tarst(y, rule: ThresholdRule, shrink: str = "hard") -> TarstReport:
         model=model,
         estimated_ranks=tuple(kept_counts),
         thresholds=tuple(taus),
-        retained_counts=tuple(kept_counts),
         discarded_counts=tuple(dropped_counts),
         degenerate=any(r == 0 for r in kept_counts),
     )

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .tensor_ops import frobenius_norm
 
@@ -42,7 +41,8 @@ def summarize(samples) -> SummaryStat:
     """Mean with a 95% Student-t confidence interval.
 
     CI = mean ± t_{0.975, n-1} * sd / sqrt(n); a single sample degenerates
-    to a point interval.
+    to a point interval. The t quantile comes from ``scipy.stats``, imported
+    here on first use so that importing the package needs numpy only.
     """
     arr = np.asarray(list(samples), dtype=np.float64)
     if arr.size == 0:
@@ -51,5 +51,7 @@ def summarize(samples) -> SummaryStat:
     n = int(arr.size)
     if n == 1:
         return SummaryStat(mean=mean, ci95_low=mean, ci95_high=mean, n=1)
+    from scipy.stats import t as student_t
+
     half = float(student_t.ppf(0.975, n - 1)) * float(arr.std(ddof=1)) / math.sqrt(n)
     return SummaryStat(mean=mean, ci95_low=mean - half, ci95_high=mean + half, n=n)

@@ -230,8 +230,6 @@ def test_pattern1_config_validation():
         Pattern1Config(shape=(4, 4, 4), true_ranks=(5, 3, 3))
     with pytest.raises(ValueError, match="true_ranks"):
         Pattern1Config(true_ranks=(3, 3))
-    with pytest.raises(ValueError, match="shrink"):
-        Pattern1Config(shrink="clip")
     with pytest.raises(ValueError, match="std"):
         Pattern1Config(true_std=0.0)
 

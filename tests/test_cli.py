@@ -111,6 +111,18 @@ def test_denoise_all_zero_median_warns_and_writes_zero(tmp_path, capsys):
     np.testing.assert_array_equal(read_tensor(dst), np.zeros((3, 4, 5)))
 
 
+def test_denoise_one_way_median_keeps_input(tmp_path, capsys):
+    # a single singular value keeps rank 1 under the median rule
+    src, dst = tmp_path / "vec.txt", tmp_path / "out.txt"
+    src.write_text("1\n5\n1 2 3 4 5\n")
+    assert main(["denoise", str(src), str(dst)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.strip().endswith("rank=1")
+    np.testing.assert_allclose(read_tensor(dst), [1.0, 2.0, 3.0, 4.0, 5.0],
+                               rtol=1e-12)
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "denoise" in capsys.readouterr().out

@@ -227,6 +227,32 @@ def test_tarst_pure_noise_degenerates_to_zero():
         assert frobenius_norm(reconstruct(report.model)) == 0.0
 
 
+def test_tarst_median_rule_keeps_extent_one_mode():
+    # the 1 x 400 unfolding has one singular value; it keeps rank 1, so the
+    # median rule finds the same ranks as the known-sigma rule
+    rng = np.random.default_rng(14)
+    x = 100.0 * random_tucker(rng, (1, 20, 20), (1, 1, 1))
+    y = x + rng.standard_normal(x.shape)
+    for rule in (MedianBased(), KnownSigma(1.0)):
+        report = tarst(y, rule)
+        assert report.estimated_ranks == (1, 1, 1)
+        assert not report.degenerate
+        assert rel_err(reconstruct(report.model), x) < 5e-2
+
+
+def test_tarst_median_rule_one_way_input_is_kept():
+    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    report = tarst(y, MedianBased())
+    assert report.estimated_ranks == (1,)
+    assert report.discarded_counts == (0,)
+    assert not report.degenerate
+    np.testing.assert_allclose(reconstruct(report.model), y, rtol=1e-12)
+    for zero in (np.zeros(5), np.zeros((1, 4, 5))):
+        report = tarst(zero, MedianBased())
+        assert report.degenerate
+        assert report.estimated_ranks == (0,) * zero.ndim
+
+
 def test_tarst_all_zero_input_degenerates_under_both_rules():
     y = np.zeros((4, 5, 6))
     for rule in (MedianBased(), KnownSigma(1.0)):
@@ -255,8 +281,7 @@ def test_tarst_report_bookkeeping():
     rng = np.random.default_rng(10)
     y = rng.standard_normal((5, 6, 7))
     report = tarst(y, MedianBased())
-    assert report.retained_counts == report.estimated_ranks
-    for k, (kept, dropped) in enumerate(zip(report.retained_counts,
+    for k, (kept, dropped) in enumerate(zip(report.estimated_ranks,
                                             report.discarded_counts)):
         assert kept + dropped == min(y.shape[k], y.size // y.shape[k])
     assert len(report.thresholds) == 3
@@ -305,23 +330,10 @@ def test_tarst_projection_never_grows_norm(seed, kind, scale):
     assert frobenius_norm(reconstruct(report.model)) <= frobenius_norm(y) + 1e-9
 
 
-def test_tarst_soft_variant_shrinks_spectrum():
-    rng = np.random.default_rng(13)
-    x = 100.0 * random_tucker(rng, (8, 8, 8), (2, 2, 2))
-    y = x + rng.standard_normal(x.shape)
-    hard = tarst(y, KnownSigma(1.0), shrink="hard")
-    soft = tarst(y, KnownSigma(1.0), shrink="soft")
-    # soft retention is at most hard retention per mode
-    assert all(s <= h for s, h in zip(soft.estimated_ranks, hard.estimated_ranks))
-    assert soft.thresholds == hard.thresholds
-
-
 def test_tarst_validation():
     y = np.zeros((3, 3))
     with pytest.raises(TypeError, match="rule must be"):
         tarst(y, "median")
-    with pytest.raises(ValueError, match="shrink must be"):
-        tarst(y, MedianBased(), shrink="none")
     with pytest.raises(ValueError, match="non-finite"):
         tarst(np.array([[np.nan, 0.0]]), MedianBased())
 

@@ -1,8 +1,9 @@
 """Oracle tests for the threshold coefficients and thresholding operators.
 
-The Marchenko-Pastur median is checked three independent ways: a
+The Marchenko-Pastur median is checked four independent ways: a
 trigonometric reformulation of the square-case CDF equation, an arctan
-closed form for the square-case CDF, and Monte-Carlo spectra. The
+closed form for the square-case CDF, quadrature of the density over a
+dense grid of aspect ratios, and Monte-Carlo spectra. The
 lambda coefficient is checked against a brute-force minimax search at
 desk scale.
 """
@@ -17,8 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from tarst.svht import (KnownSigma, MedianBased, hard_threshold, lambda_star,
-                        mp_median, omega, soft_threshold,
-                        threshold_for_unfolding)
+                        mp_cdf, mp_median, omega, threshold_for_unfolding)
 
 # Square-case median of the Marchenko-Pastur law. With x = 4 sin^2(theta) the
 # CDF equation becomes 4 theta + 2 sin(2 theta) = pi, solved once offline to
@@ -135,6 +135,47 @@ def test_mp_median_bracket_and_cdf_residual():
         assert mass == pytest.approx(0.5, abs=1e-9)
 
 
+def mp_median_by_quadrature(beta):
+    """Median from quadrature of the density, an oracle independent of the
+    closed-form CDF. With x = (1 - sqrt(beta))^2 + 4 sqrt(beta) sin^2(t/2),
+    t in [0, pi], the CDF is (2/pi) int_0^t sin^2(p) / x(p) dp: the sqrt
+    endpoint factors cancel, so the integrand is smooth at every beta."""
+    rb = math.sqrt(beta)
+
+    def x_of(t):
+        return (1.0 - rb) ** 2 + 4.0 * rb * math.sin(0.5 * t) ** 2
+
+    def cdf(t):
+        val, _ = quad(lambda p: math.sin(p) ** 2 / x_of(p), 0.0, t,
+                      epsabs=1e-15, epsrel=1e-13, limit=200)
+        return 2.0 * val / math.pi
+
+    return x_of(brentq(lambda t: cdf(t) - 0.5, 0.0, math.pi, xtol=1e-15))
+
+
+def test_mp_median_dense_beta_against_quadrature_oracle():
+    for beta in np.concatenate([np.geomspace(1e-4, 1.0, 200),
+                                np.geomspace(1e-6, 1e-4, 20, endpoint=False)]):
+        beta = float(beta)
+        tol = 1e-12 if beta >= 1e-4 else 1e-10
+        assert mp_median(beta) == pytest.approx(mp_median_by_quadrature(beta),
+                                                abs=tol), beta
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-4, 1.0])
+def test_mp_cdf_reads_one_at_upper_edge(beta):
+    lo, hi = (1.0 - math.sqrt(beta)) ** 2, (1.0 + math.sqrt(beta)) ** 2
+    assert abs(mp_cdf(hi, beta) - 1.0) <= 1e-15
+    assert abs(mp_cdf(np.nextafter(hi, 0.0), beta) - 1.0) <= 1e-15
+    assert mp_cdf(lo, beta) == 0.0
+    assert mp_cdf(0.5 * (lo + hi), beta) < mp_cdf(np.nextafter(hi, 0.0), beta)
+
+
+def test_mp_cdf_square_case_against_arctan_form():
+    for x in np.linspace(0.0, 4.0, 101):
+        assert mp_cdf(x, 1.0) == pytest.approx(mp_cdf_arctan(x), abs=1e-15)
+
+
 def test_mp_median_monotone_decreasing_in_beta():
     grid = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
     vals = [mp_median(b) for b in grid]
@@ -215,6 +256,20 @@ def test_threshold_floored_at_roundoff_level():
     assert threshold_for_unfolding(4, 16, MedianBased(), np.zeros(4)) == 0.0
 
 
+def test_threshold_median_rule_single_singular_value_gets_floor_only():
+    # one singular value: the median rule would cut it (omega > 1), so only
+    # the roundoff floor applies and the value is kept
+    eps = np.finfo(np.float64).eps
+    for m, n in [(1, 400), (5, 1), (1, 1)]:
+        tau = threshold_for_unfolding(m, n, MedianBased(), np.array([3.0]))
+        assert tau == max(m, n) * eps * 3.0
+        assert hard_threshold(np.array([3.0]), tau)[1] == 1
+    assert threshold_for_unfolding(1, 400, MedianBased(), np.zeros(1)) == 0.0
+    # the known-sigma rule is unchanged
+    assert threshold_for_unfolding(1, 400, KnownSigma(1.0), np.array([3.0])) == (
+        lambda_star(1.0 / 400.0) * 20.0)
+
+
 def test_threshold_rule_validation():
     with pytest.raises(ValueError, match="needs the observed spectrum"):
         threshold_for_unfolding(3, 4, MedianBased())
@@ -271,16 +326,3 @@ def test_hard_threshold_validation():
         hard_threshold(np.eye(2), 1.0)
     with pytest.raises(ValueError, match="threshold must be"):
         hard_threshold(np.array([1.0]), 0.0)
-
-
-def test_soft_threshold_shrinks():
-    kept, rank = soft_threshold(np.array([5.0, 3.0, 1.0]), 3.0)
-    np.testing.assert_array_equal(kept, [2.0, 0.0, 0.0])
-    assert rank == 1  # the boundary value shrinks to zero and drops out
-
-
-@given(spectra, taus)
-def test_soft_never_keeps_more_than_hard(s, tau):
-    _, hard_rank = hard_threshold(s, tau)
-    _, soft_rank = soft_threshold(s, tau)
-    assert soft_rank <= hard_rank
