@@ -330,6 +330,23 @@ def test_tarst_projection_never_grows_norm(seed, kind, scale):
     assert frobenius_norm(reconstruct(report.model)) <= frobenius_norm(y) + 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["known", "median"]),
+       st.floats(-100.0, 100.0))
+def test_tarst_never_exceeds_the_multilinear_rank(seed, kind, log10_scale):
+    # exactly rank-r input: every singular value past r is roundoff, which
+    # the cutoff's floor removes at any magnitude, so no mode gains rank
+    rng = np.random.default_rng(seed)
+    ndim = int(rng.integers(2, 5))
+    shape = tuple(int(s) for s in rng.integers(2, 8 if ndim < 4 else 5, size=ndim))
+    ranks = tuple(int(rng.integers(1, s + 1)) for s in shape)
+    c = 10.0 ** log10_scale
+    y = c * random_tucker(rng, shape, ranks)
+    rule = KnownSigma(c * 1e-3) if kind == "known" else MedianBased()
+    got = tarst(y, rule).estimated_ranks
+    assert all(g <= r for g, r in zip(got, ranks)), (shape, ranks, got)
+
+
 def test_tarst_validation():
     y = np.zeros((3, 3))
     with pytest.raises(TypeError, match="rule must be"):
