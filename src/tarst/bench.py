@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,17 @@ def derive_seed(master: int, *indices) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _check_common(cfg):
+def _check_common(cfg, *float_axes):
+    """Store the config's sequences as tuples, fill in the default ranks,
+    and check the fields both patterns share."""
     shape = tuple(int(i) for i in cfg.shape)
+    ranks = default_true_ranks(shape) if cfg.true_ranks is None else cfg.true_ranks
+    fields = {"shape": shape, "true_ranks": tuple(int(r) for r in ranks)}
+    for name in ("sigma_grid",) + float_axes:
+        fields[name] = tuple(float(v) for v in getattr(cfg, name))
+    fields["methods"] = tuple(cfg.methods)
+    for name, value in fields.items():
+        object.__setattr__(cfg, name, value)
     if len(shape) < 1 or any(i < 1 for i in shape):
         raise ValueError(f"invalid shape {cfg.shape!r}")
     if not all(m in METHODS for m in cfg.methods):
@@ -90,7 +99,7 @@ def _check_common(cfg):
         raise ValueError("methods must be nonempty")
     if cfg.reps < 1:
         raise ValueError(f"reps must be >= 1, got {cfg.reps}")
-    grid = tuple(float(s) for s in cfg.sigma_grid)
+    grid = cfg.sigma_grid
     if len(grid) == 0 or any(s <= 0 for s in grid):
         raise ValueError("sigma grid must hold positive values")
     if any(a >= b for a, b in zip(grid, grid[1:])):
@@ -98,9 +107,9 @@ def _check_common(cfg):
     if not (math.isfinite(cfg.true_mean) and math.isfinite(cfg.true_std)
             and cfg.true_std > 0):
         raise ValueError("true_mean must be finite and true_std positive")
-    ranks = tuple(int(r) for r in cfg.true_ranks)
+    ranks = fields["true_ranks"]
     if len(ranks) != len(shape) or any(not 1 <= r <= i for r, i in zip(ranks, shape)):
-        raise ValueError(f"true_ranks {cfg.true_ranks!r} invalid for shape {shape}")
+        raise ValueError(f"true_ranks {ranks!r} invalid for shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -118,43 +127,18 @@ class Pattern1Config:
     sigma_known: bool = False  # give TARST the injected sigma instead of the median rule
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(i) for i in self.shape))
-        if self.true_ranks is None:
-            object.__setattr__(self, "true_ranks", default_true_ranks(self.shape))
-        else:
-            object.__setattr__(self, "true_ranks", tuple(int(r) for r in self.true_ranks))
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
         _check_common(self)
 
 
 @dataclass(frozen=True)
-class Pattern2Config:
-    """Outlier-robustness grid configuration."""
+class Pattern2Config(Pattern1Config):
+    """Outlier-robustness grid configuration: Pattern 1's plus outlier axes."""
 
-    shape: tuple = (10, 10, 10)
-    true_mean: float = 10.0
-    true_std: float = 2.0
-    true_ranks: tuple = None
-    sigma_grid: tuple = field(default_factory=default_sigma_grid)
     outlier_ratios: tuple = DEFAULT_OUTLIER_RATIOS
     outlier_scales: tuple = DEFAULT_OUTLIER_SCALES
-    reps: int = 5
-    seed: int = 0
-    methods: tuple = METHODS
-    sigma_known: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(i) for i in self.shape))
-        if self.true_ranks is None:
-            object.__setattr__(self, "true_ranks", default_true_ranks(self.shape))
-        else:
-            object.__setattr__(self, "true_ranks", tuple(int(r) for r in self.true_ranks))
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
-        object.__setattr__(self, "outlier_ratios", tuple(float(r) for r in self.outlier_ratios))
-        object.__setattr__(self, "outlier_scales", tuple(float(s) for s in self.outlier_scales))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        _check_common(self)
+        _check_common(self, "outlier_ratios", "outlier_scales")
         if any(not 0 < r <= 1 for r in self.outlier_ratios):
             raise ValueError("outlier ratios must lie in (0, 1]")
         if any(not s > 1 for s in self.outlier_scales):
@@ -239,7 +223,7 @@ def inject_outliers(x, ratio: float, scale: float, seed: int,
     return out, mask.reshape(a.shape)
 
 
-def _run_method(method, y, truth, cfg, sigma, trial_seed):
+def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
     rule = KnownSigma(sigma) if cfg.sigma_known else MedianBased()
     calls_before = svd_call_count()
     t0 = time.perf_counter()
@@ -270,8 +254,8 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed):
         method=method,
         shape=tuple(y.shape),
         sigma=float(sigma),
-        outlier_ratio=None,
-        outlier_scale=None,
+        outlier_ratio=ratio,
+        outlier_scale=scale,
         seed=int(trial_seed),
         rrse=float(rrse(est, truth)),
         estimated_ranks=ranks_out,
@@ -287,42 +271,39 @@ def _truths(cfg):
             for rep in range(cfg.reps)]
 
 
-def run_pattern1(cfg: Pattern1Config):
-    """Noise sweep: one record per (sigma, rep, method), in grid order."""
+def _run_grid(cfg, cells):
+    """One record per (sigma, cell, rep, method) in grid order; a cell is
+    (its seed indices, outlier ratio, outlier scale), the ratio None for no
+    outliers."""
     truths = _truths(cfg)
     records = []
     for i, sigma in enumerate(cfg.sigma_grid):
-        for rep in range(cfg.reps):
-            noise_seed = derive_seed(cfg.seed, _NOISE, i, rep)
-            y = add_gaussian_noise(truths[rep], sigma, noise_seed)
-            for method in cfg.methods:
-                records.append(_run_method(method, y, truths[rep], cfg, sigma, noise_seed))
+        for idx, ratio, scale in cells:
+            for rep in range(cfg.reps):
+                noise_seed = derive_seed(cfg.seed, _NOISE, i, *idx, rep)
+                y = add_gaussian_noise(truths[rep], sigma, noise_seed)
+                if ratio is not None:
+                    out_seed = derive_seed(cfg.seed, _OUTLIER, i, *idx, rep)
+                    y, _ = inject_outliers(y, ratio, scale, out_seed)
+                records.extend(_run_method(method, y, truths[rep], cfg, sigma, noise_seed,
+                                           ratio, scale) for method in cfg.methods)
     return records
+
+
+def run_pattern1(cfg: Pattern1Config):
+    """Noise sweep: one record per (sigma, rep, method), in grid order."""
+    return _run_grid(cfg, [((), None, None)])
 
 
 def run_pattern2(cfg: Pattern2Config):
     """Outlier grid: one record per (sigma, ratio, scale, rep, method)."""
-    truths = _truths(cfg)
-    records = []
-    for i, sigma in enumerate(cfg.sigma_grid):
-        for j, ratio in enumerate(cfg.outlier_ratios):
-            for k, scale in enumerate(cfg.outlier_scales):
-                for rep in range(cfg.reps):
-                    noise_seed = derive_seed(cfg.seed, _NOISE, i, j, k, rep)
-                    out_seed = derive_seed(cfg.seed, _OUTLIER, i, j, k, rep)
-                    y = add_gaussian_noise(truths[rep], sigma, noise_seed)
-                    y, _ = inject_outliers(y, ratio, scale, out_seed)
-                    for method in cfg.methods:
-                        rec = _run_method(method, y, truths[rep], cfg, sigma, noise_seed)
-                        records.append(replace(rec, outlier_ratio=float(ratio),
-                                               outlier_scale=float(scale)))
-    return records
+    return _run_grid(cfg, [((j, k), ratio, scale)
+                           for j, ratio in enumerate(cfg.outlier_ratios)
+                           for k, scale in enumerate(cfg.outlier_scales)])
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
+    return "" if v is None else repr(float(v))
 
 
 def write_csv(records, path) -> None:
@@ -397,19 +378,13 @@ def write_matrix_file(records, path) -> None:
     condition labels (method, plus ratio/scale for outlier runs), cells the
     mean rrse over reps."""
     sigmas = sorted({r.sigma for r in records})
-    labels = []
-    for r in records:  # preserve first-appearance order
-        lbl = _condition_label(r)
-        if lbl not in labels:
-            labels.append(lbl)
     means = mean_rrse_by_cell(records)
-    by_label = {}
+    by_label = {}  # labels in order of first appearance
     for r in records:
         key = (r.method, r.sigma, r.outlier_ratio, r.outlier_scale)
         by_label.setdefault(_condition_label(r), {})[r.sigma] = means[key]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("condition " + " ".join(repr(s) for s in sigmas) + "\n")
-        for lbl in labels:
-            row = by_label.get(lbl, {})
+        for lbl, row in by_label.items():
             cells = " ".join(repr(row[s]) if s in row else "nan" for s in sigmas)
             fh.write(f"{lbl} {cells}\n")

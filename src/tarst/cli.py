@@ -113,10 +113,8 @@ def _summary_table(records) -> str:
         means.setdefault((r.sigma, r.outlier_ratio, r.outlier_scale), {}) \
              .setdefault(r.method, []).append(r.rrse)
     lines = []
-    for (sigma, ratio, scale), per_method in sorted(means.items(),
-                                                    key=lambda kv: (kv[0][0],
-                                                                    kv[0][1] or 0,
-                                                                    kv[0][2] or 0)):
+    for cell in sorted(means, key=lambda c: (c[0], c[1] or 0, c[2] or 0)):
+        (sigma, ratio, scale), per_method = cell, means[cell]
         cond = f"sigma={sigma:<8.4g}"
         if ratio is not None:
             cond += f" ratio={ratio:<5.2g} scale={scale:<6.4g}"
@@ -130,12 +128,9 @@ def _summary_table(records) -> str:
 
 
 def _bench_config(ns, pattern: int):
-    kwargs = dict(shape=ns.shape, reps=ns.reps, seed=ns.seed, methods=ns.methods,
-                  sigma_known=ns.sigma_known)
-    if ns.ranks is not None:
-        kwargs["true_ranks"] = ns.ranks
     cls = bench.Pattern1Config if pattern == 1 else bench.Pattern2Config
-    return cls(**kwargs)
+    return cls(shape=ns.shape, true_ranks=ns.ranks, reps=ns.reps, seed=ns.seed,
+               methods=ns.methods, sigma_known=ns.sigma_known)
 
 
 def cmd_bench(ns, pattern: int) -> int:
@@ -170,10 +165,7 @@ def main(argv=None) -> int:
     except TensorFormatError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except np.linalg.LinAlgError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FloatingPointError as e:
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, TypeError) as e:

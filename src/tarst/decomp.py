@@ -9,6 +9,13 @@ for an N-way tensor and no iteration.
 Reconstruction always uses the truncated factors: the estimate is the input
 projected onto the retained left singular subspaces,
 ``x_hat = y x_1 (U1 U1^T) ... x_N (UN UN^T)``.
+
+Each public function validates its input once and then unfolds and
+multiplies with the unchecked kernels of ``tensor_ops``. HOSVD (also HOOI's
+start) and TARST share one per-mode loop, ``_truncated_tucker``: unfold,
+factorize with the public :func:`~tarst.linalg.svd`, truncate at the rank a
+callback picks. HOOI's sweeps call the SVD kernel ``linalg._svd``, which
+still checks each projection for overflow; ``svd_call_count`` counts both.
 """
 
 from __future__ import annotations
@@ -17,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import svd
+from .linalg import _svd, svd
 from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
                    threshold_for_unfolding)
-from .tensor_ops import frobenius_norm, mode_product, multi_mode_product, unfold
+from .tensor_ops import _mode_product, _unfolding, frobenius_norm, multi_mode_product
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
 
@@ -58,7 +65,7 @@ def _validated(y) -> np.ndarray:
     a = np.asarray(y, dtype=np.float64)
     if a.ndim < 1:
         raise ValueError("input must have at least one mode")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("input tensor has non-finite entries")
     return a
 
@@ -85,8 +92,19 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
     return multi_mode_product(core, model.factors)
 
 
-def _core(y, factors) -> np.ndarray:
-    return multi_mode_product(y, factors, transpose=True)
+def _truncated_tucker(a, rank_of) -> TuckerModel:
+    """Per mode: unfold, factorize, keep the leading ``rank_of(k, m, s)``
+    left singular vectors of the mode-k unfolding m with spectrum s; the
+    core is ``a`` contracted with every factor's transpose."""
+    factors = []
+    for k in range(a.ndim):
+        m = _unfolding(a, k)
+        f = svd(m)
+        factors.append(f.u[:, :rank_of(k, m, f.s)])
+    core = a
+    for k, u in enumerate(factors):
+        core = _mode_product(core, u.T, k)
+    return TuckerModel(core=core, factors=factors)
 
 
 def hosvd(y, ranks) -> TuckerModel:
@@ -101,8 +119,7 @@ def hosvd(y, ranks) -> TuckerModel:
     """
     a = _validated(y)
     ranks = _check_ranks(a.shape, ranks)
-    factors = [svd(unfold(a, k)).u[:, :r] for k, r in enumerate(ranks)]
-    return TuckerModel(core=_core(a, factors), factors=factors)
+    return _truncated_tucker(a, lambda k, m, s: ranks[k])
 
 
 def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = False):
@@ -115,13 +132,11 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
 
     A sweep carries the prefix ``y x_0 U_0^T ... x_{k-1} U_{k-1}^T`` of the
     factors it has already updated (the memoized tensor-times-matrix chain
-    of Kolda & Bader, SIAM Review 2009, section 4.2). Mode k's projection is
-    the prefix times the transposes of factors k+1 ... N-1; once mode k is
-    solved the prefix takes ``x_k U_k^T``, and after the last mode it is the
-    core. That is N(N-1)/2 + N mode products per sweep instead of N^2 (6
-    instead of 9 for N = 3, two of them on the full-size input instead of
-    four), in the same order and on the same operands as projecting from
-    scratch, so the result is the same bit for bit.
+    of Kolda & Bader, SIAM Review 2009, section 4.2): mode k's projection is
+    the prefix times the transposes of factors k+1 ... N-1, and after the
+    last mode the prefix is the core. That is N(N-1)/2 + N mode products per
+    sweep instead of N^2, in the same order and on the same operands as
+    projecting from scratch, so the result is the same bit for bit.
 
     The projection for mode k has prod(r_j, j != k) columns, so mode k's
     rank is capped by the other ranks as well as by the other extents:
@@ -137,7 +152,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
     if int(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
-    start = hosvd(a, ranks)
+    start = _truncated_tucker(a, lambda k, m, s: ranks[k])  # HOSVD
     factors = list(start.factors)
     ynorm = frobenius_norm(a)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
@@ -147,16 +162,15 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
         for k in range(a.ndim):
             w = prefix
             for j in range(k + 1, a.ndim):
-                w = mode_product(w, factors[j].T, j)
-            factors[k] = svd(unfold(w, k)).u[:, :ranks[k]]
-            prefix = mode_product(prefix, factors[k].T, k)
-        core = prefix
-        fit = frobenius_norm(core) / ynorm if ynorm > 0 else 0.0
+                w = _mode_product(w, factors[j].T, j)
+            factors[k] = _svd(_unfolding(w, k)).u[:, :ranks[k]]
+            prefix = _mode_product(prefix, factors[k].T, k)
+        fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
         fits.append(fit)
         if abs(fit - prev_fit) < tol:
             break
         prev_fit = fit
-    model = TuckerModel(core=core, factors=factors)
+    model = TuckerModel(core=prefix, factors=factors)
     return (model, fits) if return_fits else model
 
 
@@ -182,23 +196,21 @@ def tarst(y, rule: ThresholdRule) -> TarstReport:
     if not isinstance(rule, (KnownSigma, MedianBased)):
         raise TypeError(f"rule must be KnownSigma or MedianBased, got {rule!r}")
 
-    factors, taus, kept_counts, dropped_counts = [], [], [], []
-    for k in range(a.ndim):
-        mat = unfold(a, k)
-        f = svd(mat)
-        tau = threshold_for_unfolding(mat.shape[0], mat.shape[1], rule, f.s)
-        # tau == 0 only for an all-zero unfolding under the median rule
-        rank = hard_threshold(f.s, tau)[1] if tau > 0 else 0
-        factors.append(f.u[:, :rank])
-        taus.append(float(tau))
-        kept_counts.append(rank)
-        dropped_counts.append(int(f.s.size - rank))
+    taus, sizes = [], []
 
-    model = TuckerModel(core=_core(a, factors), factors=factors)
+    def rank_of(k, m, s):
+        tau = threshold_for_unfolding(m.shape[0], m.shape[1], rule, s)
+        taus.append(float(tau))
+        sizes.append(s.size)
+        # tau == 0 only for an all-zero unfolding under the median rule
+        return hard_threshold(s, tau)[1] if tau > 0 else 0
+
+    model = _truncated_tucker(a, rank_of)
+    ranks = model.ranks
     return TarstReport(
         model=model,
-        estimated_ranks=tuple(kept_counts),
+        estimated_ranks=ranks,
         thresholds=tuple(taus),
-        discarded_counts=tuple(dropped_counts),
-        degenerate=any(r == 0 for r in kept_counts),
+        discarded_counts=tuple(n - r for n, r in zip(sizes, ranks)),
+        degenerate=0 in ranks,
     )

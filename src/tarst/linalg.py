@@ -2,11 +2,12 @@
 
 One function, :func:`svd`, is the package's only factorization entry point.
 It returns the left singular vectors and the full spectrum of an m x n
-matrix, which is all the thresholding and decomposition code reads.
-:class:`SvdFactor` has no ``vt``: nothing read the right singular vectors,
-and for a wide unfolding computing them was most of the cost. :func:`svd`
-also counts factorizations so the benchmark can assert the denoiser really
-is non-iterative (N SVDs for an N-way tensor, no more).
+matrix, all that the callers read (:class:`SvdFactor` has no ``vt``), and
+counts factorizations so the benchmark can assert the denoiser really is
+non-iterative (N SVDs for an N-way tensor). It checks its argument and calls
+the kernel ``_svd``, which HOOI calls directly on its projections; the
+kernel keeps only the finiteness check (a projection of a finite input can
+overflow) and counts every factorization either way.
 
 Two paths compute the same factor:
 
@@ -75,19 +76,10 @@ def _gram_svd(a: np.ndarray):
     return SvdFactor(u=v, s=np.ldexp(np.sqrt(lam), e))
 
 
-def svd(m) -> SvdFactor:
-    """Left singular vectors and spectrum. Non-convergence propagates as
-    numpy.linalg.LinAlgError.
-
-    Deterministic for a fixed input within one build, up to the usual sign
-    freedom of singular vectors; downstream code only forms projectors
-    U U^T, which are sign-invariant.
-    """
+def _svd(a: np.ndarray) -> SvdFactor:
+    """:func:`svd` of a float64 matrix, checked for finiteness only."""
     global _svd_calls
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("svd input has non-finite entries")
     _svd_calls += 1
     if 0 < 2 * a.shape[0] <= a.shape[1]:
@@ -96,6 +88,20 @@ def svd(m) -> SvdFactor:
             return f
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return SvdFactor(u=u, s=s)
+
+
+def svd(m) -> SvdFactor:
+    """Left singular vectors and spectrum. Non-convergence propagates as
+    numpy.linalg.LinAlgError.
+
+    Deterministic for a fixed input within one build, up to the usual sign
+    freedom of singular vectors; downstream code only forms projectors
+    U U^T, which are sign-invariant.
+    """
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
+    return _svd(a)
 
 
 def svd_call_count() -> int:

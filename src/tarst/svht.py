@@ -185,21 +185,16 @@ def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> floa
     return tau
 
 
-def _checked_spectrum(s) -> np.ndarray:
-    arr = np.asarray(s, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("spectrum must be one-dimensional")
-    if arr.size > 1 and np.any(np.diff(arr) > 0):
-        raise ValueError("spectrum must be nonincreasing")
-    return arr
-
-
 def hard_threshold(s, tau: float):
     """Zero out values below tau, keep the rest unchanged (boundary inclusive).
 
     Returns ``(kept, rank)`` with ``rank = #{i : s[i] >= tau}``.
     """
-    arr = _checked_spectrum(s)
+    arr = np.asarray(s, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("spectrum must be one-dimensional")
+    if arr.size > 1 and np.any(np.diff(arr) > 0):
+        raise ValueError("spectrum must be nonincreasing")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"threshold must be a positive real, got {tau!r}")
     keep = arr >= tau

@@ -103,26 +103,19 @@ def _raise_first_error(lines) -> None:
             raise TensorFormatError(f"unexpected end of file, expected {what}",
                                     line=len(lines)) from None
 
-    lineno, tok = next_token("the tensor order N")
-    try:
-        ndim = int(tok)
-    except ValueError:
-        raise TensorFormatError(f"tensor order must be an integer, got {tok!r}",
-                                line=lineno) from None
-    if ndim < 1:
-        raise TensorFormatError(f"tensor order must be >= 1, got {ndim}", line=lineno)
-
-    shape = []
-    for _ in range(ndim):
-        lineno, tok = next_token(f"{ndim} extents")
+    def next_positive_int(what, name):
+        lineno, tok = next_token(what)
         try:
-            extent = int(tok)
+            value = int(tok)
         except ValueError:
-            raise TensorFormatError(f"extent must be an integer, got {tok!r}",
+            raise TensorFormatError(f"{name} must be an integer, got {tok!r}",
                                     line=lineno) from None
-        if extent < 1:
-            raise TensorFormatError(f"extent must be >= 1, got {extent}", line=lineno)
-        shape.append(extent)
+        if value < 1:
+            raise TensorFormatError(f"{name} must be >= 1, got {value}", line=lineno)
+        return value
+
+    ndim = next_positive_int("the tensor order N", "tensor order")
+    shape = [next_positive_int(f"{ndim} extents", "extent") for _ in range(ndim)]
 
     count = math.prod(shape)
     for i in range(count):

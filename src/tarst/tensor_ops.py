@@ -6,14 +6,13 @@ it. The mode-k unfolding sends axis k to the rows; the remaining axes keep
 their relative order and are flattened C-style into the columns, so
 ``fold(unfold(t, k), k, t.shape)`` is the identity bit for bit.
 
-The n-mode product is one matrix product on the unfolding: the axes are
-permuted with ``ndarray.transpose`` (a view), flattened with ``reshape``
-(a copy unless the permuted axes happen to be contiguous), multiplied
-with one ``np.dot``, and the product's rows are moved back to axis k as a
-view. The 2-D operands are exactly the ones ``np.tensordot(u, t, ([1],
-[k]))`` builds, so the BLAS call and every bit of the result are the same
-as with ``tensordot`` followed by ``moveaxis``, without their per-call
-overhead, which dominates for the small tensors of a HOOI sweep.
+The n-mode product is one ``np.dot`` on the unfolding, on the same 2-D
+operands ``np.tensordot(u, t, ([1], [k]))`` builds, so every bit matches
+``tensordot`` + ``moveaxis``. ``unfold`` and ``mode_product`` check their
+arguments and call the unchecked kernels ``_unfolding`` and
+``_mode_product`` (axis orders cached per order and mode), which the
+decompositions call after validating their input once: a HOOI sweep pays
+no per-product checks.
 
 Modes are 0-indexed at this API level; command-line output is 1-indexed.
 All functions are pure and never mutate their arguments.
@@ -22,6 +21,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,13 +48,40 @@ def _check_mode(ndim: int, mode: int) -> int:
     return mode
 
 
+@lru_cache(maxsize=None)
+def _axes(ndim: int, mode: int):
+    """Axis orders moving ``mode`` to the front and axis 0 back to ``mode``."""
+    before, after = tuple(range(mode)), tuple(range(mode + 1, ndim))
+    return (mode,) + before + after, tuple(range(1, mode + 1)) + (0,) + after
+
+
 def _unfolding(a: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding of a validated array. The column count is
     spelled out, not ``-1``, so zero-size arrays unfold too."""
     shape = a.shape
     rest = shape[:mode] + shape[mode + 1:]
-    perm = (mode,) + tuple(range(mode)) + tuple(range(mode + 1, a.ndim))
-    return a.transpose(perm).reshape(shape[mode], math.prod(rest))
+    return a.transpose(_axes(a.ndim, mode)[0]).reshape(shape[mode], math.prod(rest))
+
+
+def _mode_product(a: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
+    """:func:`mode_product` of a validated array and a fitting float64 matrix."""
+    shape = a.shape
+    rest = shape[:mode] + shape[mode + 1:]
+    to_front, back = _axes(a.ndim, mode)
+    m = a.transpose(to_front).reshape(shape[mode], math.prod(rest))
+    return np.dot(u, m).reshape((u.shape[0],) + rest).transpose(back)
+
+
+def _as_factor(u, extent: int, mode: int) -> np.ndarray:
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2:
+        raise ValueError("factor must be a matrix")
+    if u.shape[1] != extent:
+        raise ValueError(
+            f"factor with {u.shape[1]} columns cannot contract mode {mode} "
+            f"of extent {extent}"
+        )
+    return u
 
 
 def unfold(t, mode: int) -> np.ndarray:
@@ -89,19 +116,7 @@ def mode_product(t, u, mode: int) -> np.ndarray:
     """
     a = _as_float_array(t)
     mode = _check_mode(a.ndim, mode)
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2:
-        raise ValueError("factor must be a matrix")
-    if u.shape[1] != a.shape[mode]:
-        raise ValueError(
-            f"factor with {u.shape[1]} columns cannot contract mode {mode} "
-            f"of extent {a.shape[mode]}"
-        )
-    rest = a.shape[:mode] + a.shape[mode + 1:]
-    out = np.dot(u, _unfolding(a, mode)).reshape((u.shape[0],) + rest)
-    # the product's rows are axis 0; the view below puts them at axis mode
-    return out.transpose(tuple(range(1, mode + 1)) + (0,)
-                         + tuple(range(mode + 1, a.ndim)))
+    return _mode_product(a, _as_factor(u, a.shape[mode], mode), mode)
 
 
 def multi_mode_product(t, factors, transpose: bool = False) -> np.ndarray:
@@ -117,12 +132,24 @@ def multi_mode_product(t, factors, transpose: bool = False) -> np.ndarray:
         raise ValueError(f"expected {a.ndim} factors, got {len(factors)}")
     out = a
     for k, u in enumerate(factors):
-        if u is None:
-            continue
-        out = mode_product(out, u.T if transpose else u, k)
+        if u is not None:
+            out = _mode_product(out, _as_factor(u.T if transpose else u, a.shape[k], k), k)
     return out
 
 
 def frobenius_norm(t) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    """sqrt of the sum of squared entries: the plain ``sqrt(x . x)`` when it
+    lies in [2**-450, inf), else that of x scaled exactly by the power of two
+    putting its peak in [1/2, 1) (as in ``linalg._gram_svd``), scaled back,
+    so ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit."""
+    x = np.asarray(t, dtype=np.float64).ravel()
+    with np.errstate(over="ignore"):
+        r = math.sqrt(x.dot(x))
+        if 2.0 ** -450 <= r < math.inf:  # no square that matters is subnormal
+            return r
+        peak = np.abs(x).max(initial=0.0)
+        if not 0 < peak < math.inf:  # zero, or an inf or nan entry
+            return r
+        e = math.frexp(peak)[1]
+        b = np.ldexp(x, -e)
+        return float(np.ldexp(math.sqrt(b.dot(b)), e))
