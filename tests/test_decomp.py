@@ -108,6 +108,18 @@ def test_hooi_fit_monotone_nondecreasing():
         assert all(b >= a - 1e-10 for a, b in zip(fits, fits[1:]))
 
 
+@pytest.mark.parametrize("c", [2.0 ** 600, 2.0 ** -600, 1e200, 1e-200, 1e300, 1e-300])
+def test_hooi_fits_do_not_depend_on_magnitude(c):
+    # the fit is a ratio of two norms, each of which would over- or
+    # underflow at these magnitudes without rescaling
+    rng = np.random.default_rng(12)
+    y = random_tucker(rng, (10, 10, 10), (3, 3, 3)) + 0.3 * rng.standard_normal((10, 10, 10))
+    _, want = hooi(y, (3, 3, 3), return_fits=True)
+    _, fits = hooi(c * y, (3, 3, 3), return_fits=True)
+    assert len(fits) == len(want) < 50
+    np.testing.assert_allclose(fits, want, rtol=1e-13, atol=0)
+
+
 def test_hooi_zero_input_is_handled():
     model = hooi(np.zeros((3, 4, 5)), (2, 2, 2))
     assert frobenius_norm(reconstruct(model)) == 0.0

@@ -135,3 +135,14 @@ def test_summarize_accepts_any_iterable():
 def test_summarize_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
         summarize([])
+
+
+@pytest.mark.parametrize("c", [2.0 ** 600, 2.0 ** -600, 1e200, 1e-200, 1e300, 1e-300])
+def test_rrse_defined_at_extreme_magnitudes(c):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((10, 10, 10))
+    e = x + 0.1 * rng.standard_normal(x.shape)
+    want = rrse(e, x)
+    assert rrse(c * e, c * x) == pytest.approx(want, rel=1e-14)
+    if math.frexp(c)[0] == 0.5:  # a power of two scales exactly
+        assert rrse(c * e, c * x) == want

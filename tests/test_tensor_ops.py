@@ -232,3 +232,39 @@ def test_frobenius_norm_loop_oracle():
     want = np.sqrt(sum(x * x for x in t.ravel()))
     assert frobenius_norm(t) == pytest.approx(want, rel=1e-14)
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+
+def _plain_norm(t):
+    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+
+
+def test_frobenius_norm_is_the_plain_norm_in_range():
+    # wherever sqrt(x . x) neither overflows nor nears underflow it comes
+    # back bit for bit
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        shape = tuple(int(s) for s in rng.integers(1, 8, size=rng.integers(1, 4)))
+        t = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100)
+        assert frobenius_norm(t) == _plain_norm(t)
+
+
+@pytest.mark.parametrize("k", [600, 1000, -600, -900])
+def test_frobenius_norm_scales_exactly_by_powers_of_two(k):
+    y = np.random.default_rng(31).standard_normal((10, 10, 10))
+    c = 2.0 ** k
+    assert frobenius_norm(c * y) == c * frobenius_norm(y)
+
+
+def test_frobenius_norm_extremes():
+    # finite whenever the norm is representable, inf only past the top
+    assert frobenius_norm(np.full(4, 8e307)) == pytest.approx(1.6e308, rel=1e-15)
+    assert frobenius_norm(np.full(4, 1e-200)) == pytest.approx(2e-200, rel=1e-15)
+    assert frobenius_norm(np.full(4, 1.7e308)) == np.inf
+    assert frobenius_norm([5e-324]) == 5e-324
+    assert frobenius_norm([3e-170, 4e-170]) == pytest.approx(5e-170, rel=1e-15)
+    # zero, empty, 0-d, and non-finite entries keep their plain results
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
+    assert frobenius_norm(np.zeros(0)) == 0.0
+    assert frobenius_norm(-5.0) == 5.0
+    assert frobenius_norm([np.inf, 1.0]) == np.inf
+    assert np.isnan(frobenius_norm([np.nan, 1.0]))
