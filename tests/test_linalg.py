@@ -144,6 +144,29 @@ def test_svd_rejects_bad_input():
         svd(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("shape", [(3, 8), (8, 3), (4, 4)])  # wide (Gram path), tall, square
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_svd_rejects_a_non_finite_entry_without_counting(shape, bad, where):
+    a = np.random.default_rng(5).standard_normal(shape)
+    a.flat[{"first": 0, "middle": a.size // 2, "last": a.size - 1}[where]] = bad
+    before = svd_call_count()
+    with pytest.raises(ValueError, match=r"^svd input has non-finite entries$"):
+        svd(a)
+    assert svd_call_count() == before
+
+
+def test_finite_wide_matrix_counts_one_call_on_either_path():
+    # all zero and rank one leave the Gram path for LAPACK; a Gaussian one
+    # passes the conditioning gate
+    rng = np.random.default_rng(6)
+    for a in (np.zeros((3, 8)), np.outer([1.0, -2.0, 3.0], np.arange(1.0, 9.0)),
+              rng.standard_normal((3, 8))):
+        before = svd_call_count()
+        svd(a)
+        assert svd_call_count() == before + 1
+
+
 def test_median_odd_and_even_conventions():
     assert median_singular_value(np.array([5.0, 3.0, 1.0])) == 3.0
     # even count: midpoint of the two central values

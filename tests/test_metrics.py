@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarst.decomp import reconstruct, tarst
 from tarst.metrics import SummaryStat, rrse, summarize
+from tarst.svht import KnownSigma
+from tarst.tensor_ops import frobenius_norm
 
 # t_{0.975, 1} has the closed form tan(0.475 * pi); frozen from that identity
 T975_DF1 = 12.706204736174696
@@ -146,3 +149,32 @@ def test_rrse_defined_at_extreme_magnitudes(c):
     assert rrse(c * e, c * x) == pytest.approx(want, rel=1e-14)
     if math.frexp(c)[0] == 0.5:  # a power of two scales exactly
         assert rrse(c * e, c * x) == want
+
+
+def _layouts(t):
+    """Copies of t's values in C order, in Fortran order, and as views of
+    copies stored with the axes reversed and rolled."""
+    out = [np.ascontiguousarray(t), np.asfortranarray(t)]
+    for perm in (tuple(range(t.ndim))[::-1], tuple(range(1, t.ndim)) + (0,)):
+        out.append(np.ascontiguousarray(t.transpose(perm)).transpose(np.argsort(perm)))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2)])
+@pytest.mark.parametrize("c", [1.0, 2.0 ** -600, 1e300])
+def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
+    # the estimate keeps the permuted layout reconstruct returns; the sums
+    # run in C order whatever the layout, so every value is the same bits
+    rng = np.random.default_rng(23)
+    truth = rng.standard_normal(shape)
+    y = truth + 0.1 * rng.standard_normal(shape)
+    est = reconstruct(tarst(y, KnownSigma(0.1)).model) * c
+    truth = truth * c
+    assert est.ndim == 1 or not est.flags.c_contiguous
+    want, want_e, want_x = rrse(est, truth), frobenius_norm(est), frobenius_norm(truth)
+    for e in [est] + _layouts(est):
+        assert frobenius_norm(e).hex() == want_e.hex()
+        for x in _layouts(truth):
+            assert rrse(e, x).hex() == want.hex()
+    for x in _layouts(truth):
+        assert frobenius_norm(x).hex() == want_x.hex()
