@@ -7,7 +7,9 @@ counts factorizations so the benchmark can assert the denoiser really is
 non-iterative (N SVDs for an N-way tensor). It checks its argument and calls
 the kernel ``_svd``, which HOOI calls directly on its projections; the
 kernel keeps only the finiteness check (a projection of a finite input can
-overflow) and counts every factorization either way.
+overflow) and counts every factorization either way. On the Gram path the
+peak scan is the finiteness check: ``max`` and ``min`` propagate NaN and
++-inf, so a wide input is read once before its Gram matrix is formed.
 
 Two paths compute the same factor:
 
@@ -61,10 +63,9 @@ class SvdFactor:
     s: np.ndarray
 
 
-def _gram_svd(a: np.ndarray):
-    """SvdFactor of a wide matrix via the scaled Gram matrix, or None when
-    the matrix is zero or its Gram spectrum fails the conditioning gate."""
-    peak = max(a.max(), -a.min())
+def _gram_svd(a: np.ndarray, peak):
+    """SvdFactor of a wide matrix of peak magnitude ``peak`` via the scaled
+    Gram matrix, or None when it is zero or fails the conditioning gate."""
     if peak == 0:
         return None
     _, e = np.frexp(peak)
@@ -79,11 +80,13 @@ def _gram_svd(a: np.ndarray):
 def _svd(a: np.ndarray) -> SvdFactor:
     """:func:`svd` of a float64 matrix, checked for finiteness only."""
     global _svd_calls
-    if not np.isfinite(a).all():
+    wide = 0 < 2 * a.shape[0] <= a.shape[1]
+    peak = max(a.max(), -a.min()) if wide else 0.0  # NaN and inf propagate
+    if not (peak < np.inf if wide else np.isfinite(a).all()):
         raise ValueError("svd input has non-finite entries")
     _svd_calls += 1
-    if 0 < 2 * a.shape[0] <= a.shape[1]:
-        f = _gram_svd(a)
+    if wide:
+        f = _gram_svd(a, peak)
         if f is not None:
             return f
     u, s, _ = np.linalg.svd(a, full_matrices=False)

@@ -25,7 +25,9 @@ def rrse(est, truth) -> float:
 
     The benchmark literature calls this "RRSE" although the ratio is not
     squared; this implements the operative formula. Undefined (raises) for
-    zero-norm truth.
+    zero-norm truth. The difference is formed in one C-order temporary, and
+    both norms sum in C order, so the result has the same bits whatever the
+    memory layout of either input.
     """
     e = np.asarray(est, dtype=np.float64)
     x = np.asarray(truth, dtype=np.float64)
@@ -34,7 +36,7 @@ def rrse(est, truth) -> float:
     denom = frobenius_norm(x)
     if denom == 0.0:
         raise ValueError("rrse is undefined for zero-norm truth")
-    return frobenius_norm(e - x) / denom
+    return frobenius_norm(np.subtract(e, x, order="C")) / denom
 
 
 def summarize(samples) -> SummaryStat:

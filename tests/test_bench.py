@@ -25,7 +25,7 @@ from tarst.bench import (
     write_matrix_file,
 )
 from tarst.metrics import rrse
-from tarst.tensor_ops import unfold
+from tarst.tensor_ops import multi_mode_product, unfold
 
 # --- seed derivation ---
 
@@ -96,6 +96,22 @@ def test_gen_mode_rank_at_most_r_plus_one_with_mean():
 def test_gen_zero_std_gives_constant_tensor():
     x = gen_lowrank_tensor((4, 4), (2, 2), mean=7.0, std=0.0, seed=0)
     np.testing.assert_allclose(x, 7.0)
+
+
+@pytest.mark.parametrize("shape,ranks", [((9,), (2,)), ((6, 5), (2, 3)),
+                                         ((5, 6, 7), (2, 2, 3)), ((3, 4, 5, 2), (2, 2, 2, 1))])
+@pytest.mark.parametrize("mean,std", [(10.0, 2.0), (0.0, 1.0), (7.0, 0.0), (0.0, 0.0)])
+def test_gen_returns_c_order_with_the_reference_bits(shape, ranks, mean, std):
+    # reference: scale * z + mean on the layout multi_mode_product returns,
+    # with the spread summed in that layout before any copy
+    rng = np.random.default_rng(8)
+    factors = [np.linalg.qr(rng.standard_normal((i, r)))[0] for i, r in zip(shape, ranks)]
+    z = multi_mode_product(rng.standard_normal(ranks), factors)
+    spread = z.std()
+    want = (std / spread if spread > 0 else 0.0) * z + mean
+    x = gen_lowrank_tensor(shape, ranks, mean, std, seed=8)
+    assert x.flags.c_contiguous
+    np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
 
 
 def test_gen_validation():

@@ -123,6 +123,30 @@ def test_denoise_one_way_median_keeps_input(tmp_path, capsys):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("value", [2.5, -1e300, 1e-300])
+def test_denoise_constant_median_keeps_rank_one(tmp_path, value, capsys):
+    src, dst = tmp_path / "const.txt", tmp_path / "out.txt"
+    write_tensor(np.full((3, 4, 5), value), src)
+    assert main(["denoise", str(src), str(dst)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 3 and all(line.endswith(" rank=1") for line in lines)
+    np.testing.assert_allclose(read_tensor(dst), np.full((3, 4, 5), value), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rule", [[], ["--sigma", "1"]])
+def test_denoise_near_float_max_exits_3(tmp_path, rule, capsys):
+    y = np.random.default_rng(72).standard_normal((10, 10, 10))
+    src, dst = tmp_path / "huge.txt", tmp_path / "out.txt"
+    write_tensor(y / np.abs(y).max() * 1.7e308, src)
+    with np.errstate(over="ignore"):
+        assert main(["denoise", str(src), str(dst), *rule]) == 3
+    assert capsys.readouterr().err == ("numeric failure: largest singular value of "
+                                       "the mode-0 unfolding overflows float64\n")
+    assert not dst.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "denoise" in capsys.readouterr().out

@@ -398,3 +398,14 @@ def test_rank_validation():
         hosvd(y, (1, 5, 1))
     with pytest.raises(ValueError, match="expected 3 ranks"):
         hosvd(y, (1, 1))
+
+
+@pytest.mark.parametrize("rule", [MedianBased(), KnownSigma(1.0)])
+def test_tarst_overflowing_spectrum_raises_floating_point_error(rule):
+    # every entry is finite, but the spectrum of mode 0 overflows float64
+    y = np.random.default_rng(72).standard_normal((10, 10, 10))
+    y = y / np.abs(y).max() * 1.7e308
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^largest singular value of "
+                           r"the mode-0 unfolding overflows float64$"):
+            tarst(y, rule)
