@@ -186,7 +186,7 @@ def gen_lowrank_tensor(shape, ranks, mean: float, std: float, seed: int) -> np.n
     z = multi_mode_product(core, factors)
     spread = z.std()  # sums in z's memory order: taken before the layout changes
     scale = std / spread if spread > 0 else 0.0
-    return np.multiply(scale, z, order="C") + mean
+    return np.multiply(scale, z, order="C") + mean  # numpy adds into the temporary
 
 
 def add_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
