@@ -171,8 +171,6 @@ def gen_lowrank_tensor(shape, ranks, mean: float, std: float, seed: int) -> np.n
     component per mode, hence the +1. No centering is applied (it would
     raise the rank of the mean-free case), so the sample mean matches
     ``mean`` only up to a fluctuation that shrinks with the tensor size.
-    The result is C-contiguous, the package's canonical layout, so
-    :func:`~tarst.metrics.rrse` reads the truth without a copy.
     """
     shape = tuple(int(i) for i in shape)
     ranks = tuple(int(r) for r in ranks)
@@ -184,9 +182,9 @@ def gen_lowrank_tensor(shape, ranks, mean: float, std: float, seed: int) -> np.n
     factors = [np.linalg.qr(rng.standard_normal((i, r)))[0] for i, r in zip(shape, ranks)]
     core = rng.standard_normal(ranks)
     z = multi_mode_product(core, factors)
-    spread = z.std()  # sums in z's memory order: taken before the layout changes
+    spread = z.std()
     scale = std / spread if spread > 0 else 0.0
-    return np.multiply(scale, z, order="C") + mean  # numpy adds into the temporary
+    return scale * z + mean
 
 
 def add_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:

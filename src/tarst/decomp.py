@@ -191,8 +191,8 @@ def tarst(y, rule: ThresholdRule) -> TarstReport:
     If every singular value of some mode falls below its cutoff the estimate
     is the zero tensor and the report is flagged degenerate; so is the
     estimate of an all-zero input, whose median-rule cutoff is zero. A
-    finite input whose largest singular value overflows float64 (entries
-    near 1.8e308) raises FloatingPointError naming the mode.
+    cutoff that overflows float64 (entries or sigma near 1.8e308) raises
+    FloatingPointError naming the mode.
     """
     a = _validated(y)
     if not isinstance(rule, (KnownSigma, MedianBased)):
@@ -201,10 +201,9 @@ def tarst(y, rule: ThresholdRule) -> TarstReport:
     taus, sizes = [], []
 
     def rank_of(k, m, s):
-        if s.size and not np.isfinite(s[0]):  # entries near the float maximum
-            raise FloatingPointError(
-                f"largest singular value of the mode-{k} unfolding overflows float64")
         tau = threshold_for_unfolding(m.shape[0], m.shape[1], rule, s)
+        if not np.isfinite(tau):  # entries or sigma near the float maximum
+            raise FloatingPointError(f"threshold of the mode-{k} unfolding overflows float64")
         taus.append(float(tau))
         sizes.append(s.size)
         # tau == 0 only for an all-zero unfolding under the median rule

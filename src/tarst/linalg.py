@@ -80,15 +80,18 @@ def _gram_svd(a: np.ndarray, peak):
 def _svd(a: np.ndarray) -> SvdFactor:
     """:func:`svd` of a float64 matrix, checked for finiteness only."""
     global _svd_calls
-    wide = 0 < 2 * a.shape[0] <= a.shape[1]
-    peak = max(a.max(), -a.min()) if wide else 0.0  # NaN and inf propagate
-    if not (peak < np.inf if wide else np.isfinite(a).all()):
-        raise ValueError("svd input has non-finite entries")
-    _svd_calls += 1
-    if wide:
+    if 0 < 2 * a.shape[0] <= a.shape[1]:
+        peak = max(a.max(), -a.min())  # NaN and inf propagate
+        if not peak < np.inf:
+            raise ValueError("svd input has non-finite entries")
+        _svd_calls += 1
         f = _gram_svd(a, peak)
         if f is not None:
             return f
+    else:
+        if not np.isfinite(a).all():
+            raise ValueError("svd input has non-finite entries")
+        _svd_calls += 1
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return SvdFactor(u=u, s=s)
 

@@ -135,15 +135,22 @@ def test_denoise_constant_median_keeps_rank_one(tmp_path, value, capsys):
     np.testing.assert_allclose(read_tensor(dst), np.full((3, 4, 5), value), rtol=1e-12)
 
 
-@pytest.mark.parametrize("rule", [[], ["--sigma", "1"]])
-def test_denoise_near_float_max_exits_3(tmp_path, rule, capsys):
-    y = np.random.default_rng(72).standard_normal((10, 10, 10))
+_HUGE = np.random.default_rng(72).standard_normal((10, 10, 10))
+
+
+@pytest.mark.parametrize("y,rule", [
+    (_HUGE / np.abs(_HUGE).max() * 1.7e308, []),  # the spectrum overflows
+    (_HUGE / np.abs(_HUGE).max() * 1.7e308, ["--sigma", "1"]),
+    (_HUGE * 1.25e307, []),  # a finite spectrum whose median cutoff overflows
+    (_HUGE * 1.25e307, ["--sigma", "1.25e307"]),
+], ids=["peak-median", "peak-sigma", "median-median", "median-sigma"])
+def test_denoise_near_float_max_exits_3(tmp_path, y, rule, capsys):
     src, dst = tmp_path / "huge.txt", tmp_path / "out.txt"
-    write_tensor(y / np.abs(y).max() * 1.7e308, src)
-    with np.errstate(over="ignore"):
-        assert main(["denoise", str(src), str(dst), *rule]) == 3
-    assert capsys.readouterr().err == ("numeric failure: largest singular value of "
-                                       "the mode-0 unfolding overflows float64\n")
+    write_tensor(y, src)
+    assert main(["denoise", str(src), str(dst), *rule]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == ("numeric failure: threshold of the mode-0 "
+                                    "unfolding overflows float64")
     assert not dst.exists()
 
 

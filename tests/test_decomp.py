@@ -400,12 +400,23 @@ def test_rank_validation():
         hosvd(y, (1, 1))
 
 
-@pytest.mark.parametrize("rule", [MedianBased(), KnownSigma(1.0)])
-def test_tarst_overflowing_spectrum_raises_floating_point_error(rule):
-    # every entry is finite, but the spectrum of mode 0 overflows float64
+def _near_float_max(kind):
+    """A finite 10 x 10 x 10 tensor whose peak is 1.7e308 (the spectrum of
+    every unfolding overflows), or an N(0, sigma^2) one with sigma =
+    1.25e307 (the spectrum is finite, omega(beta) * median is not)."""
     y = np.random.default_rng(72).standard_normal((10, 10, 10))
-    y = y / np.abs(y).max() * 1.7e308
-    with np.errstate(over="ignore"):
-        with pytest.raises(FloatingPointError, match=r"^largest singular value of "
-                           r"the mode-0 unfolding overflows float64$"):
-            tarst(y, rule)
+    return y / np.abs(y).max() * 1.7e308 if kind == "peak" else y * 1.25e307
+
+
+@pytest.mark.parametrize("kind,rule", [("peak", MedianBased()), ("peak", KnownSigma(1.0)),
+                                       ("median", MedianBased()),
+                                       ("median", KnownSigma(1.25e307))])
+def test_tarst_overflowing_threshold_raises_floating_point_error(kind, rule):
+    with pytest.raises(FloatingPointError,
+                       match=r"^threshold of the mode-0 unfolding overflows float64$"):
+        tarst(_near_float_max(kind), rule)
+
+
+def test_tarst_median_overflow_leaves_known_sigma_alone():
+    # the spectrum itself is finite, so a small sigma still thresholds it
+    assert tarst(_near_float_max("median"), KnownSigma(1.0)).estimated_ranks == (10, 10, 10)
