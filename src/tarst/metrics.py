@@ -25,18 +25,21 @@ def rrse(est, truth) -> float:
 
     The benchmark literature calls this "RRSE" although the ratio is not
     squared; this implements the operative formula. Undefined (raises) for
-    zero-norm truth. The difference is formed in one C-order temporary, and
-    both norms sum in C order, so the result has the same bits whatever the
-    memory layout of either input.
+    zero-norm truth. One C-order temporary holds the truth and then, in
+    place, the difference, so neither norm gathers its operand again; both
+    sum in C order, and the result has the same bits whatever the memory
+    layout of either input.
     """
     e = np.asarray(est, dtype=np.float64)
     x = np.asarray(truth, dtype=np.float64)
     if e.shape != x.shape:
         raise ValueError(f"shape mismatch: {e.shape} vs {x.shape}")
-    denom = frobenius_norm(x)
+    d = np.array(x, order="C")  # a copy: the difference is written into it
+    denom = frobenius_norm(d)
     if denom == 0.0:
         raise ValueError("rrse is undefined for zero-norm truth")
-    return frobenius_norm(np.subtract(e, x, order="C")) / denom
+    np.subtract(e, d, out=d)
+    return frobenius_norm(d) / denom
 
 
 def summarize(samples) -> SummaryStat:
