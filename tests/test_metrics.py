@@ -178,3 +178,15 @@ def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
             assert rrse(e, x).hex() == want.hex()
     for x in _layouts(truth):
         assert frobenius_norm(x).hex() == want_x.hex()
+
+
+def test_rrse_leaves_its_inputs_unchanged():
+    # the difference is formed in place in a copy of the truth, never in
+    # the caller's arrays, whatever their layout
+    rng = np.random.default_rng(24)
+    for truth in (rng.standard_normal((4, 5, 6)), np.asfortranarray(rng.standard_normal((4, 5)))):
+        est = truth + 0.1
+        t0, e0 = truth.copy(), est.copy()
+        rrse(est, truth)
+        np.testing.assert_array_equal(truth, t0)
+        np.testing.assert_array_equal(est, e0)
