@@ -9,7 +9,7 @@ the kernel ``_svd``, which HOOI calls directly on its projections; the
 kernel keeps only the finiteness check (a projection of a finite input can
 overflow) and counts every factorization either way. On the Gram path the
 peak scan is the finiteness check: ``max`` and ``min`` propagate NaN and
-+-inf, so a wide input is read once before its Gram matrix is formed.
++-inf, so a wide input gets no separate ``isfinite`` pass.
 
 Two paths compute the same factor:
 
