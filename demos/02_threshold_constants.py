@@ -13,7 +13,6 @@ omega(beta) * median = (lambda_star / sqrt(mu_beta)) * median.
 
 import numpy as np
 
-from tarst.linalg import median_singular_value
 from tarst.svht import (
     KnownSigma,
     MedianBased,
@@ -43,7 +42,7 @@ s = np.linalg.svd(e, compute_uv=False)
 known = threshold_for_unfolding(m, n, KnownSigma(sigma))
 est = threshold_for_unfolding(m, n, MedianBased(), s)
 print(f"\n{m} x {n} pure-noise matrix, sigma = {sigma}")
-print(f"  median singular value     {median_singular_value(s):.3f}")
+print(f"  median singular value     {np.median(s):.3f}")
 print(f"  known-sigma threshold     {known:.3f}")
 print(f"  median-based threshold    {est:.3f}")
 print(f"  largest singular value    {s[0]:.3f}")

@@ -79,42 +79,10 @@ def derive_seed(master: int, *indices) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _check_common(cfg, *float_axes):
-    """Store the config's sequences as tuples, fill in the default ranks,
-    and check the fields both patterns share."""
-    shape = tuple(int(i) for i in cfg.shape)
-    ranks = default_true_ranks(shape) if cfg.true_ranks is None else cfg.true_ranks
-    fields = {"shape": shape, "true_ranks": tuple(int(r) for r in ranks)}
-    for name in ("sigma_grid",) + float_axes:
-        fields[name] = tuple(float(v) for v in getattr(cfg, name))
-    fields["methods"] = tuple(cfg.methods)
-    for name, value in fields.items():
-        object.__setattr__(cfg, name, value)
-    if len(shape) < 1 or any(i < 1 for i in shape):
-        raise ValueError(f"invalid shape {cfg.shape!r}")
-    if not all(m in METHODS for m in cfg.methods):
-        bad = [m for m in cfg.methods if m not in METHODS]
-        raise ValueError(f"unknown methods {bad}; choose from {METHODS}")
-    if len(cfg.methods) == 0:
-        raise ValueError("methods must be nonempty")
-    if cfg.reps < 1:
-        raise ValueError(f"reps must be >= 1, got {cfg.reps}")
-    grid = cfg.sigma_grid
-    if len(grid) == 0 or any(s <= 0 for s in grid):
-        raise ValueError("sigma grid must hold positive values")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("sigma grid must be sorted strictly ascending")
-    if not (math.isfinite(cfg.true_mean) and math.isfinite(cfg.true_std)
-            and cfg.true_std > 0):
-        raise ValueError("true_mean must be finite and true_std positive")
-    ranks = fields["true_ranks"]
-    if len(ranks) != len(shape) or any(not 1 <= r <= i for r, i in zip(ranks, shape)):
-        raise ValueError(f"true_ranks {ranks!r} invalid for shape {shape}")
-
-
 @dataclass(frozen=True)
 class Pattern1Config:
-    """Gaussian-noise sweep configuration."""
+    """Benchmark grid configuration. Pattern 1, the Gaussian-noise sweep,
+    leaves both outlier axes empty; Pattern 2 fills both."""
 
     shape: tuple = (10, 10, 10)
     true_mean: float = 10.0
@@ -125,24 +93,55 @@ class Pattern1Config:
     seed: int = 0
     methods: tuple = METHODS
     sigma_known: bool = False  # give TARST the injected sigma instead of the median rule
+    outlier_ratios: tuple = ()
+    outlier_scales: tuple = ()
 
     def __post_init__(self):
-        _check_common(self)
+        """Store the sequences as tuples, fill in the default ranks, and
+        check every field."""
+        shape = tuple(int(i) for i in self.shape)
+        ranks = default_true_ranks(shape) if self.true_ranks is None else self.true_ranks
+        fields = {"shape": shape, "true_ranks": tuple(int(r) for r in ranks),
+                  "methods": tuple(self.methods)}
+        for name in ("sigma_grid", "outlier_ratios", "outlier_scales"):
+            fields[name] = tuple(float(v) for v in getattr(self, name))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        if len(shape) < 1 or any(i < 1 for i in shape):
+            raise ValueError(f"invalid shape {shape!r}")
+        if not all(m in METHODS for m in self.methods):
+            bad = [m for m in self.methods if m not in METHODS]
+            raise ValueError(f"unknown methods {bad}; choose from {METHODS}")
+        if len(self.methods) == 0:
+            raise ValueError("methods must be nonempty")
+        if self.reps < 1:
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        grid = self.sigma_grid
+        if len(grid) == 0 or not all(0 < s < math.inf for s in grid):
+            raise ValueError("sigma_grid must hold positive finite values")
+        if any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ValueError("sigma_grid must be sorted strictly ascending")
+        if not (math.isfinite(self.true_mean) and math.isfinite(self.true_std)
+                and self.true_std > 0):
+            raise ValueError("true_mean must be finite and true_std positive")
+        ranks = self.true_ranks
+        if len(ranks) != len(shape) or any(not 1 <= r <= i for r, i in zip(ranks, shape)):
+            raise ValueError(f"true_ranks {ranks!r} invalid for shape {shape}")
+        if (len(self.outlier_ratios) == 0) != (len(self.outlier_scales) == 0):
+            raise ValueError("outlier_ratios and outlier_scales must be empty together")
+        if any(not 0 < r <= 1 for r in self.outlier_ratios):
+            raise ValueError("outlier_ratios must lie in (0, 1]")
+        if any(not 1 < s < math.inf for s in self.outlier_scales):
+            raise ValueError("outlier_scales must be finite and exceed 1")
 
 
 @dataclass(frozen=True)
 class Pattern2Config(Pattern1Config):
-    """Outlier-robustness grid configuration: Pattern 1's plus outlier axes."""
+    """Outlier-robustness grid: Pattern 1's fields with the outlier axes
+    filled by default."""
 
     outlier_ratios: tuple = DEFAULT_OUTLIER_RATIOS
     outlier_scales: tuple = DEFAULT_OUTLIER_SCALES
-
-    def __post_init__(self):
-        _check_common(self, "outlier_ratios", "outlier_scales")
-        if any(not 0 < r <= 1 for r in self.outlier_ratios):
-            raise ValueError("outlier ratios must lie in (0, 1]")
-        if any(not s > 1 for s in self.outlier_scales):
-            raise ValueError("outlier scales must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -196,13 +195,10 @@ def add_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     return a + sigma * rng.standard_normal(a.shape)
 
 
-def inject_outliers(x, ratio: float, scale: float, seed: int,
-                    replace_with_scaled_mean: bool = False):
-    """Corrupt round(ratio * P) distinct uniformly chosen entries.
-
-    Default semantics multiply the original entry by ``scale``; the
-    alternative replaces it with ``scale * mean(x)``. Returns the corrupted
-    tensor and the boolean mask of modified positions.
+def inject_outliers(x, ratio: float, scale: float, seed: int):
+    """Multiply round(ratio * P) distinct uniformly chosen entries by
+    ``scale``. Returns the corrupted tensor and the boolean mask of modified
+    positions.
     """
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
@@ -213,11 +209,7 @@ def inject_outliers(x, ratio: float, scale: float, seed: int,
     rng = np.random.default_rng(seed)
     idx = rng.choice(a.size, size=count, replace=False)
     out = a.copy()
-    flat = out.reshape(-1)
-    if replace_with_scaled_mean:
-        flat[idx] = scale * a.mean()
-    else:
-        flat[idx] *= scale
+    out.reshape(-1)[idx] *= scale
     mask = np.zeros(a.size, dtype=bool)
     mask[idx] = True
     return out, mask.reshape(a.shape)
@@ -227,27 +219,18 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
     rule = KnownSigma(sigma) if cfg.sigma_known else MedianBased()
     calls_before = svd_call_count()
     t0 = time.perf_counter()
-    ranks_out = None
     if method == "Baseline":
-        est = y
-    elif method == "HOSVD":
-        # rank-specified methods get the generator's nominal ranks; the
-        # constant-mean component is deliberately not counted toward them;
+        est, ranks_out = y, None
+    else:
+        if method == "TARST":
+            model = tarst(y, rule).model
+        else:
+            # rank-specified methods get the generator's nominal ranks; the
+            # constant-mean component is deliberately not counted toward them
+            model = (hosvd if method == "HOSVD" else hooi)(y, cfg.true_ranks)
         # the record holds the ranks of the model returned, which a small
         # mode can cap below the nominal ones
-        model = hosvd(y, cfg.true_ranks)
-        est = reconstruct(model)
-        ranks_out = model.ranks
-    elif method == "HOOI":
-        model = hooi(y, cfg.true_ranks)
-        est = reconstruct(model)
-        ranks_out = model.ranks
-    elif method == "TARST":
-        report = tarst(y, rule)
-        est = reconstruct(report.model)
-        ranks_out = report.estimated_ranks
-    else:  # config validation makes this unreachable
-        raise ValueError(f"unknown method {method!r}")
+        est, ranks_out = reconstruct(model), model.ranks
     wall_ms = (time.perf_counter() - t0) * 1e3
     calls = svd_call_count() - calls_before
     return TrialRecord(
@@ -265,17 +248,16 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
     )
 
 
-def _truths(cfg):
-    return [gen_lowrank_tensor(cfg.shape, cfg.true_ranks, cfg.true_mean,
-                               cfg.true_std, derive_seed(cfg.seed, _TRUTH, rep))
-            for rep in range(cfg.reps)]
-
-
-def _run_grid(cfg, cells):
-    """One record per (sigma, cell, rep, method) in grid order; a cell is
-    (its seed indices, outlier ratio, outlier scale), the ratio None for no
-    outliers."""
-    truths = _truths(cfg)
+def _run_grid(cfg: Pattern1Config):
+    """One record per (sigma, ratio, scale, rep, method) in grid order. With
+    both outlier axes empty this is the Pattern 1 sweep: one record per
+    (sigma, rep, method), no outliers, ratio and scale None."""
+    cells = [((j, k), ratio, scale)
+             for j, ratio in enumerate(cfg.outlier_ratios)
+             for k, scale in enumerate(cfg.outlier_scales)] or [((), None, None)]
+    truths = [gen_lowrank_tensor(cfg.shape, cfg.true_ranks, cfg.true_mean,
+                                 cfg.true_std, derive_seed(cfg.seed, _TRUTH, rep))
+              for rep in range(cfg.reps)]
     records = []
     for i, sigma in enumerate(cfg.sigma_grid):
         for idx, ratio, scale in cells:
@@ -291,15 +273,14 @@ def _run_grid(cfg, cells):
 
 
 def run_pattern1(cfg: Pattern1Config):
-    """Noise sweep: one record per (sigma, rep, method), in grid order."""
-    return _run_grid(cfg, [((), None, None)])
+    """Noise sweep: one record per (sigma, rep, method), in grid order. The
+    config's outlier axes decide the cells, as in :func:`run_pattern2`."""
+    return _run_grid(cfg)
 
 
 def run_pattern2(cfg: Pattern2Config):
     """Outlier grid: one record per (sigma, ratio, scale, rep, method)."""
-    return _run_grid(cfg, [((j, k), ratio, scale)
-                           for j, ratio in enumerate(cfg.outlier_ratios)
-                           for k, scale in enumerate(cfg.outlier_scales)])
+    return _run_grid(cfg)
 
 
 def _fmt(v) -> str:

@@ -127,16 +127,10 @@ def _summary_table(records) -> str:
     return "\n".join(lines)
 
 
-def _bench_config(ns, pattern: int):
-    cls = bench.Pattern1Config if pattern == 1 else bench.Pattern2Config
-    return cls(shape=ns.shape, true_ranks=ns.ranks, reps=ns.reps, seed=ns.seed,
-               methods=ns.methods, sigma_known=ns.sigma_known)
-
-
-def cmd_bench(ns, pattern: int) -> int:
-    cfg = _bench_config(ns, pattern)
-    runner = bench.run_pattern1 if pattern == 1 else bench.run_pattern2
-    records = runner(cfg)
+def cmd_bench(ns, config_cls) -> int:
+    cfg = config_cls(shape=ns.shape, true_ranks=ns.ranks, reps=ns.reps, seed=ns.seed,
+                     methods=ns.methods, sigma_known=ns.sigma_known)
+    records = bench.run_pattern2(cfg)  # the config's outlier axes pick the pattern
     bench.write_csv(records, ns.out)
     if ns.matrix_out:
         bench.write_matrix_file(records, ns.matrix_out)
@@ -160,8 +154,8 @@ def main(argv=None) -> int:
         if ns.command == "thresholds":
             return cmd_thresholds(ns)
         if ns.command == "bench-p1":
-            return cmd_bench(ns, 1)
-        return cmd_bench(ns, 2)
+            return cmd_bench(ns, bench.Pattern1Config)
+        return cmd_bench(ns, bench.Pattern2Config)
     except TensorFormatError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -115,11 +115,15 @@ def hosvd(y, ranks) -> TuckerModel:
     I_k x prod(I_j, j != k) unfolding has at most prod(I_j, j != k) singular
     vectors, so mode k's rank is capped there: ``hosvd(y, (5, 2, 2))`` on a
     10 x 2 x 2 tensor returns ranks (4, 2, 2). ``TuckerModel.ranks`` gives
-    the ranks actually returned.
+    the ranks actually returned. A core that overflows float64 (entries
+    near 1.8e308) raises FloatingPointError.
     """
     a = _validated(y)
     ranks = _check_ranks(a.shape, ranks)
-    return _truncated_tucker(a, lambda k, m, s: ranks[k])
+    model = _truncated_tucker(a, lambda k, m, s: ranks[k])
+    if not np.isfinite(model.core).all():
+        raise FloatingPointError("HOSVD core overflows float64")
+    return model
 
 
 def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = False):

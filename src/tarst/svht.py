@@ -41,8 +41,6 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import median_singular_value
-
 __all__ = [
     "KnownSigma",
     "MedianBased",
@@ -170,18 +168,21 @@ def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> floa
         raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
     big, small = (m, n) if m >= n else (n, m)
     beta = small / big
+    if s is not None:
+        s = np.asarray(s, dtype=np.float64)
     if isinstance(rule, KnownSigma):
         tau = lambda_star(beta) * math.sqrt(big) * rule.sigma
     elif isinstance(rule, MedianBased):
-        if s is None or np.asarray(s).size == 0:
+        if s is None or s.size == 0:
             raise ValueError("median-based rule needs the observed spectrum")
-        # one singular value: only the roundoff floor below applies
-        tau = 0.0 if small == 1 else omega(beta) * median_singular_value(
-            np.asarray(s, dtype=np.float64))
+        # one singular value: only the roundoff floor below applies; an even
+        # count's median is the midpoint of the central two, inf on overflow
+        with np.errstate(over="ignore"):
+            tau = 0.0 if small == 1 else omega(beta) * float(np.median(s))
     else:
         raise TypeError(f"unknown threshold rule {rule!r}")
-    if s is not None and np.asarray(s).size:
-        tau = max(tau, big * _EPS * float(np.max(s)))
+    if s is not None and s.size:
+        tau = max(tau, big * _EPS * float(s.max()))
     return tau
 
 

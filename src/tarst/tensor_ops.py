@@ -119,21 +119,15 @@ def mode_product(t, u, mode: int) -> np.ndarray:
     return _mode_product(a, _as_factor(u, a.shape[mode], mode), mode)
 
 
-def multi_mode_product(t, factors, transpose: bool = False) -> np.ndarray:
-    """Apply one factor per mode in sequence; ``None`` entries are left alone.
-
-    With ``transpose=True`` each factor is applied transposed, which turns a
-    list of orthonormal factors into the projection onto their column spaces
-    (the core computation).
-    """
+def multi_mode_product(t, factors) -> np.ndarray:
+    """Apply one factor per mode in sequence: ``t x_0 U_0 ... x_{N-1} U_{N-1}``."""
     a = _as_float_array(t)
     factors = list(factors)
     if len(factors) != a.ndim:
         raise ValueError(f"expected {a.ndim} factors, got {len(factors)}")
     out = a
     for k, u in enumerate(factors):
-        if u is not None:
-            out = _mode_product(out, _as_factor(u.T if transpose else u, a.shape[k], k), k)
+        out = _mode_product(out, _as_factor(u, a.shape[k], k), k)
     return out
 
 

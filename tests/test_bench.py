@@ -1,5 +1,7 @@
 """Tests for data generation, corruption, benchmark runners, and CSV I/O."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -185,14 +187,6 @@ def test_outliers_multiply_semantics_and_masked_mean():
     assert out[mask].mean() == pytest.approx(50.0 * x[mask].mean(), rel=1e-12)
 
 
-def test_outliers_scaled_mean_variant():
-    x = np.arange(1.0, 9.0).reshape(2, 2, 2)
-    out, mask = inject_outliers(x, 0.5, 10.0, seed=1, replace_with_scaled_mean=True)
-    assert mask.sum() == 4
-    np.testing.assert_allclose(out[mask], 10.0 * x.mean())
-    np.testing.assert_array_equal(out[~mask], x[~mask])
-
-
 def test_outliers_deterministic():
     x = np.random.default_rng(0).normal(size=(6, 6, 6))
     a, ma = inject_outliers(x, 0.25, 25.0, seed=11)
@@ -247,6 +241,14 @@ def test_pattern1_config_validation():
         Pattern1Config(true_ranks=(3, 3))
     with pytest.raises(ValueError, match="std"):
         Pattern1Config(true_std=0.0)
+    for grid in [(1.0, math.inf), (math.nan,), (0.5, math.nan, 2.0)]:
+        with pytest.raises(ValueError, match="sigma_grid"):
+            Pattern1Config(sigma_grid=grid)
+    # the outlier axes are both empty (Pattern 1) or both filled
+    with pytest.raises(ValueError, match="empty together"):
+        Pattern1Config(outlier_ratios=(0.1,))
+    with pytest.raises(ValueError, match="empty together"):
+        Pattern1Config(outlier_scales=(10.0,))
 
 
 def test_pattern2_config_validation():
@@ -256,6 +258,19 @@ def test_pattern2_config_validation():
         Pattern2Config(outlier_ratios=(1.2,))
     with pytest.raises(ValueError, match="scales"):
         Pattern2Config(outlier_scales=(1.0,))
+    for scales in [(10.0, math.inf), (math.nan,)]:
+        with pytest.raises(ValueError, match="outlier_scales"):
+            Pattern2Config(outlier_scales=scales)
+    with pytest.raises(ValueError, match="sigma_grid"):
+        Pattern2Config(sigma_grid=(1.0, math.inf))
+    # one empty axis would give a grid with no cells
+    with pytest.raises(ValueError, match="empty together"):
+        Pattern2Config(outlier_ratios=())
+    with pytest.raises(ValueError, match="empty together"):
+        Pattern2Config(outlier_scales=())
+    assert Pattern2Config().outlier_ratios == (0.01, 0.05, 0.10, 0.25, 0.50)
+    assert Pattern2Config().outlier_scales == (10.0, 25.0, 50.0, 100.0)
+    assert Pattern1Config().outlier_ratios == Pattern1Config().outlier_scales == ()
 
 
 def test_config_defaults_fill_ranks():

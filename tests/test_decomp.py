@@ -417,6 +417,15 @@ def test_tarst_overflowing_threshold_raises_floating_point_error(kind, rule):
         tarst(_near_float_max(kind), rule)
 
 
+def test_hosvd_overflowing_core_raises_floating_point_error():
+    # the core of a finite input whose peak is 1.7e308 overflows to inf/nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^HOSVD core overflows float64$"):
+            hosvd(_near_float_max("peak"), (3, 3, 3))
+    # a large input whose core stays finite is fitted as before
+    assert np.isfinite(hosvd(_near_float_max("median"), (3, 3, 3)).core).all()
+
+
 def test_tarst_median_overflow_leaves_known_sigma_alone():
     # the spectrum itself is finite, so a small sigma still thresholds it
     assert tarst(_near_float_max("median"), KnownSigma(1.0)).estimated_ranks == (10, 10, 10)

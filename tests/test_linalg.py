@@ -1,5 +1,4 @@
-"""Tests for the SVD wrapper (Gram and LAPACK paths), the call counter, and
-the median convention."""
+"""Tests for the SVD wrapper (Gram and LAPACK paths) and the call counter."""
 
 import warnings
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tarst.linalg import SvdFactor, median_singular_value, svd, svd_call_count
+from tarst.linalg import svd, svd_call_count
 from tarst.svht import mp_median
 
 
@@ -167,25 +166,8 @@ def test_finite_wide_matrix_counts_one_call_on_either_path():
         assert svd_call_count() == before + 1
 
 
-def test_median_odd_and_even_conventions():
-    assert median_singular_value(np.array([5.0, 3.0, 1.0])) == 3.0
-    # even count: midpoint of the two central values
-    assert median_singular_value(np.array([8.0, 6.0, 2.0, 1.0])) == 4.0
-
-
-def test_median_accepts_factor_or_array():
-    f = SvdFactor(u=np.eye(2), s=np.array([2.0, 1.0]))
-    assert median_singular_value(f) == 1.5
-    assert median_singular_value([2.0, 1.0]) == 1.5
-
-
-def test_median_rejects_empty():
-    with pytest.raises(ValueError, match="empty spectrum"):
-        median_singular_value(np.array([]))
-
-
 def test_gaussian_median_tracks_marchenko_pastur():
     # for a square standard Gaussian, median(s)/sqrt(n) -> sqrt(mp median)
     g = np.random.default_rng(0).standard_normal((200, 200))
-    med = median_singular_value(svd(g)) / np.sqrt(200.0)
+    med = np.median(svd(g).s) / np.sqrt(200.0)
     assert med == pytest.approx(np.sqrt(mp_median(1.0)), rel=0.05)

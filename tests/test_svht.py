@@ -9,6 +9,7 @@ desk scale.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ def test_threshold_median_based_formula():
     want = omega(3.0 / 40.0) * 4.0
     assert threshold_for_unfolding(3, 40, MedianBased(), s) == pytest.approx(
         want, rel=1e-12)
+
+
+def test_threshold_median_rule_takes_even_count_midpoint():
+    # an even count's median is the midpoint of the two central values
+    assert threshold_for_unfolding(4, 40, MedianBased(), [8.0, 6.0, 2.0, 1.0]) == (
+        omega(0.1) * 4.0)
+    # a midpoint that overflows is inf, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = threshold_for_unfolding(4, 40, MedianBased(), [1.7e308, 1.6e308, 1.5e308, 1.0])
+    assert tau == math.inf
 
 
 def test_threshold_floored_at_roundoff_level():

@@ -199,16 +199,18 @@ def test_multi_mode_product_matches_sequential():
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
 
 
-def test_multi_mode_product_none_leaves_mode_alone():
+def test_multi_mode_product_needs_one_factor_per_mode():
     rng = np.random.default_rng(17)
     t = rng.standard_normal((3, 4, 5))
     us = [rng.standard_normal((2, 3)), rng.standard_normal((6, 4)),
           rng.standard_normal((2, 5))]
-    via_none = multi_mode_product(t, [us[0], None, us[2]])
-    np.testing.assert_array_equal(via_none, mode_product(mode_product(t, us[0], 0), us[2], 2))
-    assert via_none.shape == (2, 4, 2)
     with pytest.raises(ValueError, match="expected 3 factors"):
         multi_mode_product(t, us[:2])
+    with pytest.raises(ValueError, match="expected 3 factors"):
+        multi_mode_product(t, us + [np.eye(1)])
+    # every mode gets a matrix; None does not skip one
+    with pytest.raises(ValueError, match="factor must be a matrix"):
+        multi_mode_product(t, [us[0], None, us[2]])
 
 
 def test_multi_mode_product_transpose_projects():
@@ -217,11 +219,11 @@ def test_multi_mode_product_transpose_projects():
     t = rng.standard_normal((5, 6, 4))
     qs = [np.linalg.qr(rng.standard_normal((n, r)))[0]
           for n, r in zip(t.shape, (2, 3, 2))]
-    core = multi_mode_product(t, qs, transpose=True)
+    core = multi_mode_product(t, [q.T for q in qs])
     assert core.shape == (2, 3, 2)
     proj = multi_mode_product(core, qs)
     # projecting twice changes nothing
-    core2 = multi_mode_product(proj, qs, transpose=True)
+    core2 = multi_mode_product(proj, [q.T for q in qs])
     np.testing.assert_allclose(core2, core, rtol=1e-10, atol=1e-12)
     assert frobenius_norm(proj) <= frobenius_norm(t) + 1e-9
 
