@@ -12,7 +12,7 @@ from .bench import (METHODS, Pattern1Config, Pattern2Config, TrialRecord,
                     gen_lowrank_tensor, inject_outliers, read_csv,
                     run_pattern1, run_pattern2, write_csv, write_matrix_file)
 from .decomp import TarstReport, TuckerModel, hooi, hosvd, reconstruct, tarst
-from .linalg import SvdFactor, svd, svd_call_count
+from .linalg import SvdFactor, svd
 from .metrics import SummaryStat, rrse, summarize
 from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
                    lambda_star, mp_median, omega, threshold_for_unfolding)
@@ -28,7 +28,7 @@ __all__ = [
     "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern1",
     "run_pattern2", "write_csv", "write_matrix_file",
     "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
-    "SvdFactor", "svd", "svd_call_count",
+    "SvdFactor", "svd",
     "SummaryStat", "rrse", "summarize",
     "KnownSigma", "MedianBased", "ThresholdRule", "hard_threshold",
     "lambda_star", "mp_median", "omega", "threshold_for_unfolding",

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import hooi, hosvd, reconstruct, tarst
-from .linalg import svd_call_count
 from .metrics import rrse
 from .svht import KnownSigma, MedianBased
 from .tensor_ops import multi_mode_product
@@ -158,7 +157,6 @@ class TrialRecord:
     estimated_ranks: tuple | None
     wall_time_ms: float
     svd_calls: int
-    true_std: float | None = None  # condition metadata; not a CSV column
 
 
 def gen_lowrank_tensor(shape, ranks, mean: float, std: float, seed: int) -> np.ndarray:
@@ -217,10 +215,9 @@ def inject_outliers(x, ratio: float, scale: float, seed: int):
 
 def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
     rule = KnownSigma(sigma) if cfg.sigma_known else MedianBased()
-    calls_before = svd_call_count()
     t0 = time.perf_counter()
     if method == "Baseline":
-        est, ranks_out = y, None
+        est, ranks_out, calls = y, None, 0
     else:
         if method == "TARST":
             model = tarst(y, rule).model
@@ -230,9 +227,8 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
             model = (hosvd if method == "HOSVD" else hooi)(y, cfg.true_ranks)
         # the record holds the ranks of the model returned, which a small
         # mode can cap below the nominal ones
-        est, ranks_out = reconstruct(model), model.ranks
+        est, ranks_out, calls = reconstruct(model), model.ranks, model.svd_calls
     wall_ms = (time.perf_counter() - t0) * 1e3
-    calls = svd_call_count() - calls_before
     return TrialRecord(
         method=method,
         shape=tuple(y.shape),
@@ -244,7 +240,6 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
         estimated_ranks=ranks_out,
         wall_time_ms=float(wall_ms),
         svd_calls=int(calls),
-        true_std=float(cfg.true_std),
     )
 
 
@@ -310,8 +305,7 @@ def write_csv(records, path) -> None:
 
 
 def read_csv(path):
-    """Parse a benchmark CSV back into TrialRecords (true_std is not stored
-    in the file and comes back as None)."""
+    """Parse a benchmark CSV back into TrialRecords."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

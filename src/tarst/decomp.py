@@ -15,7 +15,9 @@ multiplies with the unchecked kernels of ``tensor_ops``. HOSVD (also HOOI's
 start) and TARST share one per-mode loop, ``_truncated_tucker``: unfold,
 factorize with the public :func:`~tarst.linalg.svd`, truncate at the rank a
 callback picks. HOOI's sweeps call the SVD kernel ``linalg._svd``, which
-still checks each projection for overflow; ``svd_call_count`` counts both.
+still checks each projection for overflow. Each model counts the
+factorizations that built it in ``svd_calls``: N for HOSVD and TARST, N
+more per HOOI sweep.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class TuckerModel:
 
     core: np.ndarray
     factors: list = field(default_factory=list)
+    svd_calls: int = 0  # number of factorizations that built the model
 
     @property
     def ranks(self):
@@ -102,9 +105,10 @@ def _truncated_tucker(a, rank_of) -> TuckerModel:
         f = svd(m)
         factors.append(f.u[:, :rank_of(k, m, f.s)])
     core = a
-    for k, u in enumerate(factors):
-        core = _mode_product(core, u.T, k)
-    return TuckerModel(core=core, factors=factors)
+    with np.errstate(over="ignore"):  # hosvd reports an overflowing core
+        for k, u in enumerate(factors):
+            core = _mode_product(core, u.T, k)
+    return TuckerModel(core=core, factors=factors, svd_calls=a.ndim)
 
 
 def hosvd(y, ranks) -> TuckerModel:
@@ -161,20 +165,22 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
     ynorm = frobenius_norm(a)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
-    for _ in range(int(max_iter)):
-        prefix = a
-        for k in range(a.ndim):
-            w = prefix
-            for j in range(k + 1, a.ndim):
-                w = _mode_product(w, factors[j].T, j)
-            factors[k] = _svd(_unfolding(w, k)).u[:, :ranks[k]]
-            prefix = _mode_product(prefix, factors[k].T, k)
-        fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
-        fits.append(fit)
-        if abs(fit - prev_fit) < tol:
-            break
-        prev_fit = fit
-    model = TuckerModel(core=prefix, factors=factors)
+    with np.errstate(over="ignore"):  # _svd rejects an overflowed projection
+        for _ in range(int(max_iter)):
+            prefix = a
+            for k in range(a.ndim):
+                w = prefix
+                for j in range(k + 1, a.ndim):
+                    w = _mode_product(w, factors[j].T, j)
+                factors[k] = _svd(_unfolding(w, k)).u[:, :ranks[k]]
+                prefix = _mode_product(prefix, factors[k].T, k)
+            fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
+            fits.append(fit)
+            if abs(fit - prev_fit) < tol:
+                break
+            prev_fit = fit
+    model = TuckerModel(core=prefix, factors=factors,
+                        svd_calls=start.svd_calls + a.ndim * len(fits))
     return (model, fits) if return_fits else model
 
 

@@ -2,14 +2,14 @@
 
 One function, :func:`svd`, is the package's only factorization entry point.
 It returns the left singular vectors and the full spectrum of an m x n
-matrix, all that the callers read (:class:`SvdFactor` has no ``vt``), and
-counts factorizations so the benchmark can assert the denoiser really is
-non-iterative (N SVDs for an N-way tensor). It checks its argument and calls
+matrix, all that the callers read (:class:`SvdFactor` has no ``vt``). It is
+a pure function: the module holds no state, and the callers count their own
+factorizations (``TuckerModel.svd_calls``). It checks its argument and calls
 the kernel ``_svd``, which HOOI calls directly on its projections; the
 kernel keeps only the finiteness check (a projection of a finite input can
-overflow) and counts every factorization either way. On the Gram path the
-peak scan is the finiteness check: ``max`` and ``min`` propagate NaN and
-+-inf, so a wide input gets no separate ``isfinite`` pass.
+overflow). On the Gram path the peak scan is the finiteness check: ``max``
+and ``min`` propagate NaN and +-inf, so a wide input gets no separate
+``isfinite`` pass.
 
 Two paths compute the same factor:
 
@@ -42,15 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SvdFactor", "svd", "svd_call_count"]
+__all__ = ["SvdFactor", "svd"]
 
 # Gram conditioning gate: smallest accepted lambda_min / lambda_max. At the
 # gate the Gram singular values agree with LAPACK's to ~1e-10 relative
 # (eps / (2 * 1e-6)); a denoised unfolding with a constant-mean component
 # sits well above it, a rank-deficient one far below.
 _GRAM_RCOND = 1e-6
-
-_svd_calls = 0
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,15 @@ def _gram_svd(a: np.ndarray, peak):
 
 def _svd(a: np.ndarray) -> SvdFactor:
     """:func:`svd` of a float64 matrix, checked for finiteness only."""
-    global _svd_calls
     if 0 < 2 * a.shape[0] <= a.shape[1]:
         peak = max(a.max(), -a.min())  # NaN and inf propagate
         if not peak < np.inf:
             raise ValueError("svd input has non-finite entries")
-        _svd_calls += 1
         f = _gram_svd(a, peak)
         if f is not None:
             return f
-    else:
-        if not np.isfinite(a).all():
-            raise ValueError("svd input has non-finite entries")
-        _svd_calls += 1
+    elif not np.isfinite(a).all():
+        raise ValueError("svd input has non-finite entries")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return SvdFactor(u=u, s=s)
 
@@ -109,8 +103,3 @@ def svd(m) -> SvdFactor:
     if a.ndim != 2:
         raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
     return _svd(a)
-
-
-def svd_call_count() -> int:
-    """Total factorizations performed by :func:`svd` in this process."""
-    return _svd_calls

@@ -1,6 +1,8 @@
 """Tests for data generation, corruption, benchmark runners, and CSV I/O."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,6 +429,19 @@ def test_pattern2_bookkeeping():
     assert all(r.outlier_ratio == 0.25 for r in records[8:])
 
 
+def test_concurrent_runs_record_what_a_serial_run_records():
+    # each record's svd_calls comes from the model its own trial built, so
+    # runners in parallel threads cannot see each other's factorizations
+    cfg = Pattern2Config(shape=(10, 10, 10), true_ranks=(3, 3, 3), sigma_grid=(1.0,),
+                         reps=2, seed=3)
+    want = [replace(r, wall_time_ms=0.0) for r in run_pattern2(cfg)]
+    with ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(run_pattern2, [cfg, cfg]))
+    assert len(want) == 160
+    for got in runs:
+        assert [replace(r, wall_time_ms=0.0) for r in got] == want
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="even 1% of entries scaled by 10 carries far more energy than "
@@ -523,7 +538,6 @@ def test_csv_writer_deterministic_and_parse_back_exact(tmp_path, records):
     write_csv(records, pb)
     assert pa.read_bytes() == pb.read_bytes()
     # repr() floats round trip exactly, so whole-record equality holds
-    # (true_std is not a CSV column and defaults to None on both sides)
     assert read_csv(pa) == records
 
 

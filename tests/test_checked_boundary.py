@@ -3,18 +3,20 @@
 ``hosvd``, ``hooi``, ``tarst`` and ``reconstruct`` validate their input once
 and then work on it with unchecked kernels. The references below call only
 the public, fully checked ``svd``, ``mode_product`` and ``unfold``, in the
-order the decompositions use, so every factor, core, fit and benchmark
-record must agree bit for bit. The public functions must also keep raising
-the same exceptions with the same messages.
+order the decompositions use, and count their own ``svd`` calls, so every
+factor, core, fit, factorization count and benchmark record must agree bit
+for bit. The public functions must also keep raising the same exceptions
+with the same messages.
 """
 
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tarst import bench
+from tarst import bench, decomp
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
 from tarst.linalg import svd
 from tarst.svht import (KnownSigma, MedianBased, hard_threshold,
@@ -31,13 +33,13 @@ def _project(t, factors):
 def _ref_hosvd(y, ranks):
     y = np.asarray(y, dtype=np.float64)
     factors = [svd(unfold(y, k)).u[:, :r] for k, r in enumerate(ranks)]
-    return TuckerModel(core=_project(y, factors), factors=factors)
+    return TuckerModel(core=_project(y, factors), factors=factors, svd_calls=len(factors))
 
 
 def _ref_hooi(y, ranks, tol=1e-8, max_iter=50):
     y = np.asarray(y, dtype=np.float64)
     start = _ref_hosvd(y, ranks)
-    factors = list(start.factors)
+    factors, calls = list(start.factors), start.svd_calls
     ynorm = frobenius_norm(y)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
@@ -48,13 +50,14 @@ def _ref_hooi(y, ranks, tol=1e-8, max_iter=50):
             for j in range(k + 1, y.ndim):
                 w = mode_product(w, factors[j].T, j)
             factors[k] = svd(unfold(w, k)).u[:, :ranks[k]]
+            calls += 1
             prefix = mode_product(prefix, factors[k].T, k)
         fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0
         fits.append(fit)
         if abs(fit - prev_fit) < tol:
             break
         prev_fit = fit
-    return TuckerModel(core=prefix, factors=factors), fits
+    return TuckerModel(core=prefix, factors=factors, svd_calls=calls), fits
 
 
 def _ref_tarst(y, rule):
@@ -69,7 +72,7 @@ def _ref_tarst(y, rule):
         taus.append(float(tau))
         ranks.append(r)
         dropped.append(int(f.s.size - r))
-    model = TuckerModel(core=_project(y, factors), factors=factors)
+    model = TuckerModel(core=_project(y, factors), factors=factors, svd_calls=len(factors))
     return model, tuple(taus), tuple(ranks), tuple(dropped)
 
 
@@ -86,7 +89,8 @@ def _same_bits(a, b):
 
 
 def _same_model(got, want):
-    return (_same_bits(got.core, want.core) and len(got.factors) == len(want.factors)
+    return (_same_bits(got.core, want.core) and got.svd_calls == want.svd_calls
+            and len(got.factors) == len(want.factors)
             and all(_same_bits(u, v) for u, v in zip(got.factors, want.factors)))
 
 
@@ -179,15 +183,49 @@ def test_bench_records_bit_identical_to_checked_reference(cfg, runner, monkeypat
     assert got == want
 
 
-def test_hooi_projection_overflow_raises_svd_message():
-    # every entry is finite, but the projections of the first sweep overflow
-    y = np.random.default_rng(72).standard_normal((10, 10, 10))
-    y = y / np.abs(y).max() * 1.7e308
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^svd input has non-finite entries$"):
-            hooi(y, (3, 3, 3))
-        with pytest.raises(ValueError, match=r"^svd input has non-finite entries$"):
-            hooi(np.full((4, 4, 4), 1.7e308), (1, 1, 1))
+def _count_factorizations(monkeypatch):
+    """Wrap both factorization bindings of ``decomp`` (the public ``svd`` of
+    the per-mode loop and HOOI's kernel ``_svd``) in one call counter."""
+    calls = [0]
+
+    def counting(f):
+        def wrapped(m):
+            calls[0] += 1
+            return f(m)
+        return wrapped
+
+    monkeypatch.setattr(decomp, "svd", counting(decomp.svd))
+    monkeypatch.setattr(decomp, "_svd", counting(decomp._svd))
+    return calls
+
+
+@pytest.mark.parametrize("y, ranks", CASES)
+def test_models_count_the_factorizations_that_built_them(y, ranks, monkeypatch):
+    # CASES take every path: wide Gaussian unfoldings pass the Gram gate,
+    # wide zero and constant ones fall back to LAPACK, tall ones go there
+    calls = _count_factorizations(monkeypatch)
+    assert hosvd(y, ranks).svd_calls == calls[0] == y.ndim
+    for rule in (MedianBased(), KnownSigma(0.5)):
+        calls[0] = 0
+        assert tarst(y, rule).model.svd_calls == calls[0] == y.ndim
+    for max_iter in (1, 50):
+        calls[0] = 0
+        model, fits = hooi(y, ranks, tol=1e-10, max_iter=max_iter, return_fits=True)
+        assert model.svd_calls == calls[0] == y.ndim * (1 + len(fits))
+
+
+def test_hosvd_and_hooi_raise_near_float_max_without_warnings():
+    # every entry is finite, but the core and the projections of the first
+    # sweep overflow; the exception is the only report, with no numpy warning
+    g = np.random.default_rng(72).standard_normal((10, 10, 10))
+    for y, ranks in [(g / np.abs(g).max() * 1.7e308, (3, 3, 3)),
+                     (np.full((4, 4, 4), 1.7e308), (1, 1, 1))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"^HOSVD core overflows float64$"):
+                hosvd(y, ranks)
+            with pytest.raises(ValueError, match=r"^svd input has non-finite entries$"):
+                hooi(y, ranks)
 
 
 _Z = np.zeros((2, 3))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
-from tarst.linalg import svd, svd_call_count
+from tarst.linalg import svd
 from tarst.svht import KnownSigma, MedianBased
 from tarst.tensor_ops import frobenius_norm, multi_mode_product
 
@@ -214,9 +214,7 @@ def test_tarst_uses_exactly_one_svd_per_mode():
     rng = np.random.default_rng(8)
     for shape in [(6, 7, 8), (4, 4, 4, 4), (9, 30)]:
         y = rng.standard_normal(shape)
-        before = svd_call_count()
-        tarst(y, MedianBased())
-        assert svd_call_count() - before == len(shape)
+        assert tarst(y, MedianBased()).model.svd_calls == len(shape)
 
 
 def test_tarst_strong_signal_rank_discovery():
@@ -357,6 +355,24 @@ def test_tarst_never_exceeds_the_multilinear_rank(seed, kind, log10_scale):
     rule = KnownSigma(c * 1e-3) if kind == "known" else MedianBased()
     got = tarst(y, rule).estimated_ranks
     assert all(g <= r for g, r in zip(got, ranks)), (shape, ranks, got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-150.0, 150.0))
+def test_tarst_ranks_do_not_depend_on_units(seed, log10_c):
+    # y -> c y scales every singular value and, under either rule (with
+    # sigma -> c sigma), every cutoff by c, so no rank may move for any c
+    rng = np.random.default_rng(seed)
+    ndim = int(rng.integers(2, 5))
+    shape = tuple(int(s) for s in rng.integers(2, 8 if ndim < 4 else 5, size=ndim))
+    ranks = tuple(int(rng.integers(1, s + 1)) for s in shape)
+    sigma = 10.0 ** rng.uniform(-2.0, 0.0)
+    y = random_tucker(rng, shape, ranks) + sigma * rng.standard_normal(shape)
+    c = 10.0 ** log10_c
+    for rule, scaled in [(KnownSigma(sigma), KnownSigma(c * sigma)),
+                         (MedianBased(), MedianBased())]:
+        want = tarst(y, rule).estimated_ranks
+        assert tarst(c * y, scaled).estimated_ranks == want, (shape, ranks, sigma, c, rule)
 
 
 def test_tarst_validation():

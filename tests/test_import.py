@@ -38,7 +38,7 @@ PUBLIC = {
         "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern1",
         "run_pattern2", "write_csv", "write_matrix_file",
         "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
-        "SvdFactor", "svd", "svd_call_count",
+        "SvdFactor", "svd",
         "SummaryStat", "rrse", "summarize",
         "KnownSigma", "MedianBased", "ThresholdRule", "hard_threshold",
         "lambda_star", "mp_median", "omega", "threshold_for_unfolding",
@@ -54,7 +54,7 @@ PUBLIC = {
     ],
     "tarst.cli": None,
     "tarst.decomp": ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"],
-    "tarst.linalg": ["SvdFactor", "svd", "svd_call_count"],
+    "tarst.linalg": ["SvdFactor", "svd"],
     "tarst.metrics": ["SummaryStat", "rrse", "summarize"],
     "tarst.svht": [
         "KnownSigma", "MedianBased", "ThresholdRule", "lambda_star", "mp_cdf",
