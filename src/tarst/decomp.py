@@ -13,11 +13,11 @@ projected onto the retained left singular subspaces,
 Each public function validates its input once and then unfolds and
 multiplies with the unchecked kernels of ``tensor_ops``. HOSVD (also HOOI's
 start) and TARST share one per-mode loop, ``_truncated_tucker``: unfold,
-factorize with the public :func:`~tarst.linalg.svd`, truncate at the rank a
-callback picks. HOOI's sweeps call the SVD kernel ``linalg._svd``, which
-still checks each projection for overflow. Each model counts the
-factorizations that built it in ``svd_calls``: N for HOSVD and TARST, N
-more per HOOI sweep.
+factorize with :func:`~tarst.linalg.svd`, truncate at the rank a callback
+picks. HOOI's sweeps factorize their projections with the same ``svd``,
+which checks each one for overflow. Each model counts the factorizations
+that built it in ``svd_calls``: N for HOSVD and TARST, N more per HOOI
+sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _svd, svd
+from .linalg import svd
 from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
                    threshold_for_unfolding)
 from .tensor_ops import _mode_product, _unfolding, frobenius_norm, multi_mode_product
@@ -42,6 +42,7 @@ class TuckerModel:
     core: np.ndarray
     factors: list = field(default_factory=list)
     svd_calls: int = 0  # number of factorizations that built the model
+    fits: tuple = ()  # HOOI's per-sweep fits; empty for HOSVD and TARST
 
     @property
     def ranks(self):
@@ -54,14 +55,25 @@ class TuckerModel:
 
 @dataclass
 class TarstReport:
-    """Outcome of one denoising run: the fitted model plus what the
-    thresholds did per mode."""
+    """Outcome of one denoising run; ranks and counts are read off the model."""
 
     model: TuckerModel
-    estimated_ranks: tuple
     thresholds: tuple
-    discarded_counts: tuple
-    degenerate: bool  # True when some mode kept nothing; the estimate is zero
+
+    @property
+    def estimated_ranks(self):
+        return self.model.ranks
+
+    @property
+    def degenerate(self):
+        """True when some mode kept nothing; the estimate is zero."""
+        return 0 in self.model.ranks
+
+    @property
+    def discarded_counts(self):
+        """Per mode, the singular values cut: min(I_k, P / I_k) - r_k, P = prod(I)."""
+        p = int(np.prod(self.model.shape))
+        return tuple(min(i, p // i) - r for i, r in zip(self.model.shape, self.model.ranks))
 
 
 def _validated(y) -> np.ndarray:
@@ -130,7 +142,7 @@ def hosvd(y, ranks) -> TuckerModel:
     return model
 
 
-def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = False):
+def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     """Higher-order orthogonal iteration (ALS refinement of HOSVD).
 
     Each sweep re-solves every mode: project the input on all other factors,
@@ -149,9 +161,9 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
     The projection for mode k has prod(r_j, j != k) columns, so mode k's
     rank is capped by the other ranks as well as by the other extents:
     ``hooi(y, (4, 1, 1))`` returns ranks (1, 1, 1). ``TuckerModel.ranks``
-    gives the ranks actually returned.
-
-    With ``return_fits=True`` also returns the per-sweep fit values.
+    gives the ranks actually returned, and ``TuckerModel.fits`` the fit
+    after each sweep. A projection that overflows float64 (entries near
+    1.8e308) raises FloatingPointError.
     """
     a = _validated(y)
     ranks = _check_ranks(a.shape, ranks)
@@ -165,23 +177,25 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50, return_fits: bool = Fa
     ynorm = frobenius_norm(a)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
-    with np.errstate(over="ignore"):  # _svd rejects an overflowed projection
+    with np.errstate(over="ignore"):  # svd rejects an overflowed projection
         for _ in range(int(max_iter)):
             prefix = a
             for k in range(a.ndim):
                 w = prefix
                 for j in range(k + 1, a.ndim):
                     w = _mode_product(w, factors[j].T, j)
-                factors[k] = _svd(_unfolding(w, k)).u[:, :ranks[k]]
+                try:
+                    factors[k] = svd(_unfolding(w, k)).u[:, :ranks[k]]
+                except ValueError:  # svd's one error here: a non-finite projection
+                    raise FloatingPointError("HOOI projection overflows float64") from None
                 prefix = _mode_product(prefix, factors[k].T, k)
             fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
             fits.append(fit)
             if abs(fit - prev_fit) < tol:
                 break
             prev_fit = fit
-    model = TuckerModel(core=prefix, factors=factors,
-                        svd_calls=start.svd_calls + a.ndim * len(fits))
-    return (model, fits) if return_fits else model
+    return TuckerModel(core=prefix, factors=factors,
+                       svd_calls=start.svd_calls + a.ndim * len(fits), fits=tuple(fits))
 
 
 def tarst(y, rule: ThresholdRule) -> TarstReport:
@@ -208,23 +222,15 @@ def tarst(y, rule: ThresholdRule) -> TarstReport:
     if not isinstance(rule, (KnownSigma, MedianBased)):
         raise TypeError(f"rule must be KnownSigma or MedianBased, got {rule!r}")
 
-    taus, sizes = [], []
+    taus = []
 
     def rank_of(k, m, s):
         tau = threshold_for_unfolding(m.shape[0], m.shape[1], rule, s)
         if not np.isfinite(tau):  # entries or sigma near the float maximum
             raise FloatingPointError(f"threshold of the mode-{k} unfolding overflows float64")
         taus.append(float(tau))
-        sizes.append(s.size)
         # tau == 0 only for an all-zero unfolding under the median rule
         return hard_threshold(s, tau)[1] if tau > 0 else 0
 
     model = _truncated_tucker(a, rank_of)
-    ranks = model.ranks
-    return TarstReport(
-        model=model,
-        estimated_ranks=ranks,
-        thresholds=tuple(taus),
-        discarded_counts=tuple(n - r for n, r in zip(sizes, ranks)),
-        degenerate=0 in ranks,
-    )
+    return TarstReport(model=model, thresholds=tuple(taus))

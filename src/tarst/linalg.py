@@ -1,15 +1,14 @@
 """Thin-SVD contract shared by the thresholding and decomposition code.
 
-One function, :func:`svd`, is the package's only factorization entry point.
-It returns the left singular vectors and the full spectrum of an m x n
-matrix, all that the callers read (:class:`SvdFactor` has no ``vt``). It is
-a pure function: the module holds no state, and the callers count their own
-factorizations (``TuckerModel.svd_calls``). It checks its argument and calls
-the kernel ``_svd``, which HOOI calls directly on its projections; the
-kernel keeps only the finiteness check (a projection of a finite input can
-overflow). On the Gram path the peak scan is the finiteness check: ``max``
-and ``min`` propagate NaN and +-inf, so a wide input gets no separate
-``isfinite`` pass.
+One function, :func:`svd`, is the package's only factorization entry point:
+HOSVD, TARST and HOOI's sweeps all call it. It returns the left singular
+vectors and the full spectrum of an m x n matrix, all that the callers read
+(:class:`SvdFactor` has no ``vt``). It is a pure function: the module holds
+no state, and the callers count their own factorizations
+(``TuckerModel.svd_calls``). It checks finiteness on every call, because a
+projection of a finite input can overflow. On the Gram path the peak scan
+is the finiteness check: ``max`` and ``min`` propagate NaN and +-inf, so a
+wide input gets no separate ``isfinite`` pass.
 
 Two paths compute the same factor:
 
@@ -76,21 +75,6 @@ def _gram_svd(a: np.ndarray, peak):
         return SvdFactor(u=v, s=np.ldexp(np.sqrt(lam), e))
 
 
-def _svd(a: np.ndarray) -> SvdFactor:
-    """:func:`svd` of a float64 matrix, checked for finiteness only."""
-    if 0 < 2 * a.shape[0] <= a.shape[1]:
-        peak = max(a.max(), -a.min())  # NaN and inf propagate
-        if not peak < np.inf:
-            raise ValueError("svd input has non-finite entries")
-        f = _gram_svd(a, peak)
-        if f is not None:
-            return f
-    elif not np.isfinite(a).all():
-        raise ValueError("svd input has non-finite entries")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return SvdFactor(u=u, s=s)
-
-
 def svd(m) -> SvdFactor:
     """Left singular vectors and spectrum. Non-convergence propagates as
     numpy.linalg.LinAlgError.
@@ -102,4 +86,14 @@ def svd(m) -> SvdFactor:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
-    return _svd(a)
+    if 0 < 2 * a.shape[0] <= a.shape[1]:
+        peak = max(a.max(), -a.min())  # NaN and inf propagate
+        if not peak < np.inf:
+            raise ValueError("svd input has non-finite entries")
+        f = _gram_svd(a, peak)
+        if f is not None:
+            return f
+    elif not np.isfinite(a).all():
+        raise ValueError("svd input has non-finite entries")
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return SvdFactor(u=u, s=s)

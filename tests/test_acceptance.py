@@ -275,7 +275,7 @@ def _suite_hooi_fit(rng):
         shape = tuple(int(v) for v in rng.integers(3, 7, size=3))
         ranks = tuple(min(2, i) for i in shape)
         y = rng.standard_normal(shape)
-        _, fits = hooi(y, ranks, tol=1e-12, max_iter=6, return_fits=True)
+        fits = hooi(y, ranks, tol=1e-12, max_iter=6).fits
         assert all(b - a >= -1e-10 for a, b in zip(fits, fits[1:]))
     return 200
 

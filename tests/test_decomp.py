@@ -61,10 +61,10 @@ def test_hosvd_factors_are_orthonormal():
 def test_hooi_recovers_exact_low_rank_in_two_sweeps():
     rng = np.random.default_rng(3)
     x = random_tucker(rng, (6, 7, 8), (2, 3, 4))
-    model, fits = hooi(x, (2, 3, 4), return_fits=True)
+    model = hooi(x, (2, 3, 4))
     assert rel_err(reconstruct(model), x) < 1e-10
-    assert len(fits) <= 2
-    assert fits[-1] == pytest.approx(1.0, abs=1e-12)
+    assert len(model.fits) <= 2
+    assert model.fits[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hooi_full_ranks_matches_hosvd():
@@ -104,7 +104,7 @@ def test_hooi_fit_monotone_nondecreasing():
         shape = tuple(int(s) for s in rng.integers(2, 6, size=ndim))
         ranks = tuple(int(rng.integers(1, s + 1)) for s in shape)
         y = rng.standard_normal(shape)
-        _, fits = hooi(y, ranks, tol=1e-12, max_iter=6, return_fits=True)
+        fits = hooi(y, ranks, tol=1e-12, max_iter=6).fits
         assert all(b >= a - 1e-10 for a, b in zip(fits, fits[1:]))
 
 
@@ -114,8 +114,8 @@ def test_hooi_fits_do_not_depend_on_magnitude(c):
     # underflow at these magnitudes without rescaling
     rng = np.random.default_rng(12)
     y = random_tucker(rng, (10, 10, 10), (3, 3, 3)) + 0.3 * rng.standard_normal((10, 10, 10))
-    _, want = hooi(y, (3, 3, 3), return_fits=True)
-    _, fits = hooi(c * y, (3, 3, 3), return_fits=True)
+    want = hooi(y, (3, 3, 3)).fits
+    fits = hooi(c * y, (3, 3, 3)).fits
     assert len(fits) == len(want) < 50
     np.testing.assert_allclose(fits, want, rtol=1e-13, atol=0)
 
@@ -179,9 +179,9 @@ _rng_hooi = np.random.default_rng(41)
     (_rng_hooi.standard_normal(6), (2,), 50),
 ])
 def test_hooi_bit_identical_to_projection_from_scratch(y, ranks, max_iter):
-    model, fits = hooi(y, ranks, tol=1e-10, max_iter=max_iter, return_fits=True)
+    model = hooi(y, ranks, tol=1e-10, max_iter=max_iter)
     core, factors, want_fits = _hooi_reference(y, ranks, tol=1e-10, max_iter=max_iter)
-    assert fits == want_fits
+    assert model.fits == tuple(want_fits)
     assert _same_bits(model.core, core)
     assert len(model.factors) == len(factors)
     assert all(_same_bits(u, v) for u, v in zip(model.factors, factors))
@@ -373,6 +373,30 @@ def test_tarst_ranks_do_not_depend_on_units(seed, log10_c):
                          (MedianBased(), MedianBased())]:
         want = tarst(y, rule).estimated_ranks
         assert tarst(c * y, scaled).estimated_ranks == want, (shape, ranks, sigma, c, rule)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-300.0, 300.0), st.booleans())
+def test_tarst_extent_one_and_one_way_inputs_are_defined(seed, log10_c, zero):
+    # a 1-way input, or one with an extent-1 mode, from 1e-300 to 1e300:
+    # finite thresholds and estimate under both rules, a degenerate flag
+    # that matches the ranks, and under the median rule rank 1 on every
+    # single-value unfolding of a nonzero input
+    rng = np.random.default_rng(seed)
+    ndim = int(rng.integers(1, 5))
+    shape = [int(s) for s in rng.integers(1, 8 if ndim < 4 else 5, size=ndim)]
+    if ndim > 1:
+        shape[int(rng.integers(ndim))] = 1
+    c = 10.0 ** log10_c
+    y = np.zeros(shape) if zero else c * rng.standard_normal(shape)
+    single = [k for k, i in enumerate(shape) if i == 1 or ndim == 1]
+    for rule in (KnownSigma(c * 10.0 ** rng.uniform(-2.0, 0.0)), MedianBased()):
+        report = tarst(y, rule)
+        assert np.isfinite(report.thresholds).all(), (shape, c, rule)
+        assert np.isfinite(reconstruct(report.model)).all(), (shape, c, rule)
+        assert report.degenerate == (0 in report.estimated_ranks)
+        if isinstance(rule, MedianBased) and not zero:
+            assert all(report.estimated_ranks[k] == 1 for k in single), (shape, c)
 
 
 def test_tarst_validation():

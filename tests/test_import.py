@@ -4,7 +4,9 @@ scipy is loaded lazily by ``metrics.summarize`` alone; the tests keep using
 it as an independent oracle, so this check runs in a fresh interpreter.
 """
 
+import dataclasses
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +76,33 @@ def test_public_api_is_pinned(name):
     for attr in exported or ():
         assert hasattr(module, attr)
         assert attr == "__version__" or not attr.startswith("_")
+
+
+# the settable surface: dataclass fields and the decompositions' parameters
+FIELDS = {
+    "TuckerModel": ["core", "factors", "svd_calls", "fits"],
+    "TarstReport": ["model", "thresholds"],
+    "SvdFactor": ["u", "s"],
+    "TrialRecord": ["method", "shape", "sigma", "outlier_ratio", "outlier_scale", "seed",
+                    "rrse", "estimated_ranks", "wall_time_ms", "svd_calls"],
+    "SummaryStat": ["mean", "ci95_low", "ci95_high", "n"],
+    "Pattern1Config": ["shape", "true_mean", "true_std", "true_ranks", "sigma_grid", "reps",
+                       "seed", "methods", "sigma_known", "outlier_ratios", "outlier_scales"],
+}
+PARAMETERS = {
+    "hosvd": ["y", "ranks"],
+    "hooi": ["y", "ranks", "tol", "max_iter"],
+    "tarst": ["y", "rule"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_dataclass_fields_are_pinned(name):
+    cls = getattr(importlib.import_module("tarst"), name)
+    assert [f.name for f in dataclasses.fields(cls)] == FIELDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_decomposition_parameters_are_pinned(name):
+    func = getattr(importlib.import_module("tarst"), name)
+    assert list(inspect.signature(func).parameters) == PARAMETERS[name]
