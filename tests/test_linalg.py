@@ -1,4 +1,4 @@
-"""Tests for the SVD wrapper (Gram and LAPACK paths) and the call counter."""
+"""Tests for the SVD wrapper (Gram and LAPACK paths)."""
 
 import warnings
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarst import linalg
 from tarst.linalg import svd
 from tarst.svht import mp_median
 
@@ -99,6 +100,84 @@ def test_svd_gram_path_scales_exactly_by_powers_of_two(monkeypatch):
             f = svd(np.ldexp(a, k))
             np.testing.assert_array_equal(f.s, np.ldexp(base.s, k))
             np.testing.assert_array_equal(f.u, base.u)
+
+
+def _scaled_data_svd(a):
+    """Reference for svd's wide path that scales the data, not its Gram
+    matrix: scan for the peak, copy a scaled by the power of two putting it
+    in [1/2, 1), form b b^T, eigh, and gate as svd does (LAPACK otherwise)."""
+    peak = max(a.max(), -a.min())
+    if peak > 0:
+        e = np.frexp(peak)[1]
+        b = np.ldexp(a, -e)
+        lam, v = np.linalg.eigh(b @ b.T)
+        lam, v = lam[::-1], v[:, ::-1]
+        if lam[-1] >= linalg._GRAM_RCOND * lam[0]:
+            with np.errstate(over="ignore"):  # s overflows near the float maximum
+                return v, np.ldexp(np.sqrt(lam), e)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u, s
+
+
+def _assert_same_bits_as_scaled_data(a):
+    f = svd(a)
+    u, s = _scaled_data_svd(a)
+    np.testing.assert_array_equal(f.s, s)
+    np.testing.assert_array_equal(f.u, u)
+
+
+def _with_peak_gram_diagonal(a, d):
+    """a scaled so that the largest diagonal entry of a a^T is about d."""
+    return a * np.sqrt(d / (a @ a.T).diagonal().max())
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600, 1e100, 1e-100,
+                                   1e150, 1e-150, 1e200, 1e-200])
+@pytest.mark.parametrize("shape", [(1, 7), (3, 6), (5, 40), (10, 100), (20, 400), (30, 900)])
+def test_svd_wide_same_bits_as_scaling_the_data(shape, scale):
+    # Gaussian, constant-mean (the spread spectrum of a denoised unfolding),
+    # rank-one and constant inputs, on both sides of the conditioning gate
+    rng = np.random.default_rng(shape[0] * shape[1])
+    g = rng.standard_normal(shape)
+    rank_one = np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+    for a in (g, g + 4.0, rank_one, np.full(shape, -3.0)):
+        _assert_same_bits_as_scaled_data(scale * a)
+
+
+@pytest.mark.parametrize("d", [2.0 ** 900 * (1 - 1e-3), 2.0 ** 900 * (1 + 1e-3),
+                               2.0 ** -900 * (1 - 1e-3), 2.0 ** -900 * (1 + 1e-3)])
+def test_svd_wide_same_bits_at_the_edges_of_the_gram_range(d):
+    rng = np.random.default_rng(8)
+    for a in (rng.standard_normal((6, 50)), rng.standard_normal((4, 12)) + 1.0):
+        b = _with_peak_gram_diagonal(a, d)
+        assert (b @ b.T).diagonal().max() == pytest.approx(d, rel=1e-12)
+        _assert_same_bits_as_scaled_data(b)
+
+
+@pytest.mark.parametrize("scale", [1e160, -1e160, 1e-160, 1.7e308, 1e-300])
+def test_svd_wide_gram_overflow_and_underflow_match_without_warnings(scale, monkeypatch):
+    # a a^T of these finite inputs (peak |entry| = |scale|) overflows (1e160:
+    # products near 1e320) or underflows (1e-160: near 1e-320), so svd must scale the data
+    # itself: it copies the m x n input through ldexp, bit for bit as the
+    # reference does, and no numpy warning or floating-point error escapes
+    g = np.random.default_rng(9).standard_normal((5, 40))
+    a = g / np.abs(g).max() * scale
+    ldexp_shapes = []
+    ldexp = np.ldexp
+
+    def spy(x, *args, **kwargs):
+        ldexp_shapes.append(np.shape(x))
+        return ldexp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", spy)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        f = svd(a)
+    assert a.shape in ldexp_shapes
+    monkeypatch.undo()
+    u, s = _scaled_data_svd(a)
+    np.testing.assert_array_equal(f.s, s)
+    np.testing.assert_array_equal(f.u, u)
 
 
 def test_svd_identity_and_rank_one():
