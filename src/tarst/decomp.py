@@ -162,8 +162,8 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     rank is capped by the other ranks as well as by the other extents:
     ``hooi(y, (4, 1, 1))`` returns ranks (1, 1, 1). ``TuckerModel.ranks``
     gives the ranks actually returned, and ``TuckerModel.fits`` the fit
-    after each sweep. A projection that overflows float64 (entries near
-    1.8e308) raises FloatingPointError.
+    after each sweep. A projection or core that overflows float64 (entries
+    near 1.8e308) raises FloatingPointError.
     """
     a = _validated(y)
     ranks = _check_ranks(a.shape, ranks)
@@ -177,7 +177,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     ynorm = frobenius_norm(a)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
-    with np.errstate(over="ignore"):  # svd rejects an overflowed projection
+    with np.errstate(over="ignore"):  # overflowed projections and cores raise below
         for _ in range(int(max_iter)):
             prefix = a
             for k in range(a.ndim):
@@ -190,6 +190,8 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
                     raise FloatingPointError("HOOI projection overflows float64") from None
                 prefix = _mode_product(prefix, factors[k].T, k)
             fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
+            if not fit < np.inf and not np.isfinite(prefix).all():  # fit is nan or inf
+                raise FloatingPointError("HOOI core overflows float64")
             fits.append(fit)
             if abs(fit - prev_fit) < tol:
                 break

@@ -134,7 +134,7 @@ def multi_mode_product(t, factors) -> np.ndarray:
 def frobenius_norm(t) -> float:
     """sqrt of the sum of squared entries: the plain ``sqrt(x . x)`` when it
     lies in [2**-450, inf), else that of x scaled exactly by the power of two
-    putting its peak in [1/2, 1) (as in ``linalg._gram_svd``), scaled back,
+    putting its peak in [1/2, 1) (as in ``linalg.svd``'s fallback), scaled back,
     so ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit."""
     x = np.asarray(t, dtype=np.float64).ravel()
     with np.errstate(over="ignore"):

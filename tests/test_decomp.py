@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarst import decomp
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
 from tarst.linalg import svd
 from tarst.svht import KnownSigma, MedianBased
@@ -464,6 +465,23 @@ def test_hosvd_overflowing_core_raises_floating_point_error():
             hosvd(_near_float_max("peak"), (3, 3, 3))
     # a large input whose core stays finite is fitted as before
     assert np.isfinite(hosvd(_near_float_max("median"), (3, 3, 3)).core).all()
+
+
+def test_hooi_overflowing_core_raises_at_the_first_sweep(monkeypatch):
+    # every projection of the first sweep is finite (peak 1.4e308), its core
+    # 7e307 * 2**1.5 is not; HOOI stops there with no numpy warning
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return svd(m)
+
+    monkeypatch.setattr(decomp, "svd", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"^HOOI core overflows float64$"):
+            hooi(np.full((2, 2, 2), 7e307), (1, 1, 1))
+    assert calls[0] == 3 + 3  # the HOSVD start and one sweep
 
 
 def test_tarst_median_overflow_leaves_known_sigma_alone():

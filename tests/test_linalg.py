@@ -1,5 +1,6 @@
 """Tests for the SVD wrapper (Gram and LAPACK paths)."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tarst import linalg
 from tarst.linalg import svd
 from tarst.svht import mp_median
+from tarst.tensor_ops import unfold
 
 
 def test_svd_reconstructs():
@@ -126,11 +128,6 @@ def _assert_same_bits_as_scaled_data(a):
     np.testing.assert_array_equal(f.u, u)
 
 
-def _with_peak_gram_diagonal(a, d):
-    """a scaled so that the largest diagonal entry of a a^T is about d."""
-    return a * np.sqrt(d / (a @ a.T).diagonal().max())
-
-
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600, 1e100, 1e-100,
                                    1e150, 1e-150, 1e200, 1e-200])
 @pytest.mark.parametrize("shape", [(1, 7), (3, 6), (5, 40), (10, 100), (20, 400), (30, 900)])
@@ -149,7 +146,7 @@ def test_svd_wide_same_bits_as_scaling_the_data(shape, scale):
 def test_svd_wide_same_bits_at_the_edges_of_the_gram_range(d):
     rng = np.random.default_rng(8)
     for a in (rng.standard_normal((6, 50)), rng.standard_normal((4, 12)) + 1.0):
-        b = _with_peak_gram_diagonal(a, d)
+        b = a * np.sqrt(d / (a @ a.T).diagonal().max())  # largest diagonal of b b^T ~ d
         assert (b @ b.T).diagonal().max() == pytest.approx(d, rel=1e-12)
         _assert_same_bits_as_scaled_data(b)
 
@@ -178,6 +175,27 @@ def test_svd_wide_gram_overflow_and_underflow_match_without_warnings(scale, monk
     u, s = _scaled_data_svd(a)
     np.testing.assert_array_equal(f.s, s)
     np.testing.assert_array_equal(f.u, u)
+
+
+@pytest.mark.parametrize("layout", ["C", "last-mode view"])
+def test_svd_wide_makes_no_copy_of_the_data(layout):
+    # the wide path forms a a^T from the unfolding as it lies in memory: a
+    # scaled copy of the m x n data would show as a peak of ~1x its size
+    rng = np.random.default_rng(10)
+    if layout == "C":
+        a = rng.standard_normal((100, 5000))
+    else:
+        t = rng.standard_normal((40, 40, 40))
+        a = unfold(t, 2)
+        assert a.flags.f_contiguous and np.shares_memory(a, t)
+    svd(a)  # warm up lazy numpy/LAPACK set-up outside the traced call
+    tracemalloc.start()
+    try:
+        svd(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * a.nbytes
 
 
 def test_svd_identity_and_rank_one():
