@@ -154,9 +154,9 @@ def test_svd_wide_same_bits_at_the_edges_of_the_gram_range(d):
 @pytest.mark.parametrize("scale", [1e160, -1e160, 1e-160, 1.7e308, 1e-300])
 def test_svd_wide_gram_overflow_and_underflow_match_without_warnings(scale, monkeypatch):
     # a a^T of these finite inputs (peak |entry| = |scale|) overflows (1e160:
-    # products near 1e320) or underflows (1e-160: near 1e-320), so svd must scale the data
-    # itself: it copies the m x n input through ldexp, bit for bit as the
-    # reference does, and no numpy warning or floating-point error escapes
+    # products near 1e320) or underflows (1e-160: near 1e-320), so svd must
+    # scale the data itself: it copies the m x n input through ldexp, bit for
+    # bit as the reference does, and no numpy warning or FP error escapes
     g = np.random.default_rng(9).standard_normal((5, 40))
     a = g / np.abs(g).max() * scale
     ldexp_shapes = []
