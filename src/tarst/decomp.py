@@ -96,7 +96,7 @@ def _check_ranks(shape, ranks):
 
 
 def reconstruct(model: TuckerModel) -> np.ndarray:
-    """Expand a Tucker model back to a full tensor."""
+    """Expand a Tucker model back to a full tensor, in C order."""
     core = np.asarray(model.core, dtype=np.float64)
     if core.ndim != len(model.factors):
         raise ValueError(f"core has {core.ndim} modes but {len(model.factors)} factors")
@@ -163,7 +163,9 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     ``hooi(y, (4, 1, 1))`` returns ranks (1, 1, 1). ``TuckerModel.ranks``
     gives the ranks actually returned, and ``TuckerModel.fits`` the fit
     after each sweep. A projection or core that overflows float64 (entries
-    near 1.8e308) raises FloatingPointError.
+    near 1.8e308) raises FloatingPointError, and so does an input whose
+    Frobenius norm overflows, at the end of the first sweep, since no fit
+    could be formed against it.
     """
     a = _validated(y)
     ranks = _check_ranks(a.shape, ranks)
@@ -192,6 +194,8 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
             fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
             if not fit < np.inf and not np.isfinite(prefix).all():  # fit is nan or inf
                 raise FloatingPointError("HOOI core overflows float64")
+            if ynorm == np.inf:  # every fit would read 0 or nan
+                raise FloatingPointError("HOOI input norm overflows float64")
             fits.append(fit)
             if abs(fit - prev_fit) < tol:
                 break

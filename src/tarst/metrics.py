@@ -28,7 +28,9 @@ def rrse(est, truth) -> float:
     zero-norm truth. One C-order temporary holds the truth and then, in
     place, the difference, so neither norm gathers its operand again; both
     sum in C order, and the result has the same bits whatever the memory
-    layout of either input.
+    layout of either input. With C-order inputs, as ``reconstruct`` and
+    ``bench.gen_lowrank_tensor`` return, the copy is a memcpy and the
+    subtraction reads contiguous memory.
     """
     e = np.asarray(est, dtype=np.float64)
     x = np.asarray(truth, dtype=np.float64)

@@ -12,7 +12,10 @@ operands ``np.tensordot(u, t, ([1], [k]))`` builds, so every bit matches
 arguments and call the unchecked kernels ``_unfolding`` and
 ``_mode_product`` (axis orders cached per order and mode), which the
 decompositions call after validating their input once: a HOOI sweep pays
-no per-product checks.
+no per-product checks. ``mode_product`` returns a permuted view of its
+product; ``multi_mode_product`` writes its last product straight in C order,
+so the tensors built from it (``reconstruct``, the benchmark generator) are
+C-contiguous.
 
 Modes are 0-indexed at this API level; command-line output is 1-indexed.
 All functions are pure and never mutate their arguments.
@@ -120,15 +123,27 @@ def mode_product(t, u, mode: int) -> np.ndarray:
 
 
 def multi_mode_product(t, factors) -> np.ndarray:
-    """Apply one factor per mode in sequence: ``t x_0 U_0 ... x_{N-1} U_{N-1}``."""
+    """Apply one factor per mode in sequence: ``t x_0 U_0 ... x_{N-1} U_{N-1}``.
+
+    The result is always C-contiguous. Modes 0 ... N-2 go through
+    :func:`mode_product`'s kernel; the last product is written straight in
+    C order as ``m @ U_{N-1}^T``, m the running tensor viewed as
+    prod(rest) x r_{N-1} (gathered first when it is a permuted view, a copy
+    whose last extent is the rank, not the output's extent). That is equal
+    to the mode-by-mode chain up to roundoff: whether the bits match depends
+    on the BLAS kernel.
+    """
     a = _as_float_array(t)
     factors = list(factors)
     if len(factors) != a.ndim:
         raise ValueError(f"expected {a.ndim} factors, got {len(factors)}")
     out = a
-    for k, u in enumerate(factors):
-        out = _mode_product(out, _as_factor(u, a.shape[k], k), k)
-    return out
+    for k in range(a.ndim - 1):
+        out = _mode_product(out, _as_factor(factors[k], a.shape[k], k), k)
+    u = _as_factor(factors[-1], a.shape[-1], a.ndim - 1)
+    rest = out.shape[:-1]
+    m = out.reshape(math.prod(rest), u.shape[1])  # copies a permuted view
+    return np.dot(m, u.T).reshape(rest + (u.shape[0],))
 
 
 def frobenius_norm(t) -> float:

@@ -484,6 +484,27 @@ def test_hooi_overflowing_core_raises_at_the_first_sweep(monkeypatch):
     assert calls[0] == 3 + 3  # the HOSVD start and one sweep
 
 
+@pytest.mark.parametrize("ranks", [(2, 2, 2), (1, 1, 1)])
+def test_hooi_overflowing_input_norm_raises_at_the_first_sweep(monkeypatch, ranks):
+    # two orthogonal rank-one terms of 1.5e308: every entry, projection and
+    # core is finite, the norm is not, so fits would read nan (ranks 2) or
+    # 0.0 (ranks 1); HOOI stops after one sweep with no numpy warning
+    y = np.zeros((2, 2, 2))
+    y[0, 0, 0] = y[1, 1, 1] = 1.5e308
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return svd(m)
+
+    monkeypatch.setattr(decomp, "svd", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"^HOOI input norm overflows float64$"):
+            hooi(y, ranks)
+    assert calls[0] == 3 + 3  # the HOSVD start and one sweep
+
+
 def test_tarst_median_overflow_leaves_known_sigma_alone():
     # the spectrum itself is finite, so a small sigma still thresholds it
     assert tarst(_near_float_max("median"), KnownSigma(1.0)).estimated_ranks == (10, 10, 10)

@@ -163,14 +163,15 @@ def _layouts(t):
 @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2)])
 @pytest.mark.parametrize("c", [1.0, 2.0 ** -600, 1e300])
 def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
-    # the estimate keeps the permuted layout reconstruct returns; the sums
-    # run in C order whatever the layout, so every value is the same bits
+    # reconstruct returns C order; _layouts adds Fortran order and two
+    # permuted views of each operand. The sums run in C order whatever the
+    # layout, so every value is the same bits
     rng = np.random.default_rng(23)
     truth = rng.standard_normal(shape)
     y = truth + 0.1 * rng.standard_normal(shape)
     est = reconstruct(tarst(y, KnownSigma(0.1)).model) * c
     truth = truth * c
-    assert est.ndim == 1 or not est.flags.c_contiguous
+    assert est.flags.c_contiguous
     want, want_e, want_x = rrse(est, truth), frobenius_norm(est), frobenius_norm(truth)
     for e in [est] + _layouts(est):
         assert frobenius_norm(e).hex() == want_e.hex()

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
+from tarst.bench import add_gaussian_noise, gen_lowrank_tensor, inject_outliers
+from tarst.decomp import TuckerModel, reconstruct
 from tarst.tensor_ops import (fold, frobenius_norm, mode_product,
                               multi_mode_product, unfold)
 
@@ -197,6 +199,12 @@ def test_multi_mode_product_matches_sequential():
           rng.standard_normal((2, 5))]
     want = mode_product(mode_product(mode_product(t, us[0], 0), us[1], 1), us[2], 2)
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
+    # full rank: the last product, written in C order, may round apart from
+    # the chain on a few entries, depending on the BLAS kernel
+    t = rng.standard_normal((50, 50, 50))
+    us = [np.linalg.qr(rng.standard_normal((50, 50)))[0] for _ in range(3)]
+    want = mode_product(mode_product(mode_product(t, us[0], 0), us[1], 1), us[2], 2)
+    np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
 
 
 def test_multi_mode_product_needs_one_factor_per_mode():
@@ -226,6 +234,34 @@ def test_multi_mode_product_transpose_projects():
     core2 = multi_mode_product(proj, [q.T for q in qs])
     np.testing.assert_allclose(core2, core, rtol=1e-10, atol=1e-12)
     assert frobenius_norm(proj) <= frobenius_norm(t) + 1e-9
+
+
+@pytest.mark.parametrize("shape", [(7,), (1,), (4, 6), (1, 7), (6, 1), (3, 4, 5), (6, 1, 3),
+                                   (1, 1, 1), (2, 3, 4, 5), (3, 1, 2, 4)])
+def test_products_reconstructions_and_generated_tensors_are_c_order(shape):
+    # the layout every caller gets: rrse's truth copy is then a memcpy and
+    # write_tensor's rows are views
+    rng = np.random.default_rng(len(shape) * 97 + sum(shape))
+    ranks = tuple(min(2, n) for n in shape)
+    qs = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip(shape, ranks)]
+    core = rng.standard_normal(ranks)
+    t = rng.standard_normal(shape)
+    outputs = [multi_mode_product(core, qs),
+               multi_mode_product(np.asfortranarray(t), [q.T for q in qs]),
+               multi_mode_product(mode_product(t, np.eye(shape[0]), 0), [q.T for q in qs]),
+               reconstruct(TuckerModel(core=core, factors=qs))]
+    truth = gen_lowrank_tensor(shape, ranks, 10.0, 2.0, seed=5)
+    outputs += [truth, add_gaussian_noise(truth, 0.5, seed=6),
+                inject_outliers(truth, 0.5, 10.0, seed=7)[0]]
+    # a degenerate model: one mode (first, middle or last) kept nothing
+    for k in range(len(shape)):
+        ranks0 = ranks[:k] + (0,) + ranks[k + 1:]
+        factors = [q[:, :r] for q, r in zip(qs, ranks0)]
+        outputs.append(reconstruct(TuckerModel(core=np.zeros(ranks0), factors=factors)))
+    for out in outputs:
+        assert out.flags.c_contiguous
+    for out in outputs[-len(shape):]:
+        assert out.shape == shape and not np.any(out)
 
 
 def test_frobenius_norm_loop_oracle():
