@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tarst.bench import Pattern1Config, mean_rrse_by_cell, run_pattern1, write_csv
+from tarst.bench import Pattern1Config, mean_rrse_by_cell, run_pattern2, write_csv
 
 cfg = Pattern1Config(
     shape=(10, 10, 10),
@@ -25,7 +25,7 @@ cfg = Pattern1Config(
 print(f"shape {cfg.shape}, ranks {cfg.true_ranks}, mean {cfg.true_mean}, "
       f"std {cfg.true_std}, {cfg.reps} reps per cell")
 
-records = run_pattern1(cfg)
+records = run_pattern2(cfg)
 means = mean_rrse_by_cell(records)
 
 header = f"{'sigma':>8}" + "".join(f"{m:>12}" for m in cfg.methods)

@@ -10,9 +10,9 @@ metrics, and a reproducible benchmark harness are included.
 from .bench import (METHODS, Pattern1Config, Pattern2Config, TrialRecord,
                     add_gaussian_noise, default_sigma_grid, derive_seed,
                     gen_lowrank_tensor, inject_outliers, read_csv,
-                    run_pattern1, run_pattern2, write_csv, write_matrix_file)
+                    run_pattern2, write_csv, write_matrix_file)
 from .decomp import TarstReport, TuckerModel, hooi, hosvd, reconstruct, tarst
-from .linalg import SvdFactor, svd
+from .linalg import svd
 from .metrics import SummaryStat, rrse, summarize
 from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
                    lambda_star, mp_median, omega, threshold_for_unfolding)
@@ -25,10 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
     "add_gaussian_noise", "default_sigma_grid", "derive_seed",
-    "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern1",
-    "run_pattern2", "write_csv", "write_matrix_file",
+    "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern2",
+    "write_csv", "write_matrix_file",
     "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
-    "SvdFactor", "svd",
+    "svd",
     "SummaryStat", "rrse", "summarize",
     "KnownSigma", "MedianBased", "ThresholdRule", "hard_threshold",
     "lambda_star", "mp_median", "omega", "threshold_for_unfolding",

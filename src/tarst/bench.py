@@ -1,6 +1,7 @@
 """Synthetic low-rank data, noise/outlier injection, and benchmark runners.
 
-Two experiment patterns, mirroring the usual denoising protocol:
+Two experiment patterns, mirroring the usual denoising protocol, both run
+by :func:`run_pattern2` from the config that describes them:
 
 * Pattern 1 sweeps Gaussian noise sigma over a log grid and compares the
   raw observation (Baseline), rank-given HOSVD/HOOI, and the rank-free
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +42,6 @@ __all__ = [
     "gen_lowrank_tensor",
     "add_gaussian_noise",
     "inject_outliers",
-    "run_pattern1",
     "run_pattern2",
     "write_csv",
     "read_csv",
@@ -97,19 +98,20 @@ class Pattern1Config:
 
     def __post_init__(self):
         """Store the sequences as tuples, fill in the default ranks, and
-        check every field."""
+        check every field; a non-integer reps or seed raises TypeError."""
         shape = tuple(int(i) for i in self.shape)
         ranks = default_true_ranks(shape) if self.true_ranks is None else self.true_ranks
         fields = {"shape": shape, "true_ranks": tuple(int(r) for r in ranks),
-                  "methods": tuple(self.methods)}
+                  "methods": tuple(self.methods), "reps": operator.index(self.reps),
+                  "seed": operator.index(self.seed)}
         for name in ("sigma_grid", "outlier_ratios", "outlier_scales"):
             fields[name] = tuple(float(v) for v in getattr(self, name))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         if len(shape) < 1 or any(i < 1 for i in shape):
             raise ValueError(f"invalid shape {shape!r}")
-        if not all(m in METHODS for m in self.methods):
-            bad = [m for m in self.methods if m not in METHODS]
+        bad = [m for m in self.methods if m not in METHODS]
+        if bad:
             raise ValueError(f"unknown methods {bad}; choose from {METHODS}")
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
@@ -243,10 +245,12 @@ def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
     )
 
 
-def _run_grid(cfg: Pattern1Config):
-    """One record per (sigma, ratio, scale, rep, method) in grid order. With
-    both outlier axes empty this is the Pattern 1 sweep: one record per
-    (sigma, rep, method), no outliers, ratio and scale None."""
+def run_pattern2(cfg: Pattern1Config):
+    """The one benchmark runner: one record per (sigma, ratio, scale, rep,
+    method) in grid order. The config's outlier axes pick the pattern: with
+    both empty, as in :class:`Pattern1Config`, this is the Pattern 1 sweep,
+    one record per (sigma, rep, method) with no outliers and ratio and scale
+    None; :class:`Pattern2Config` fills them for the outlier grid."""
     cells = [((j, k), ratio, scale)
              for j, ratio in enumerate(cfg.outlier_ratios)
              for k, scale in enumerate(cfg.outlier_scales)] or [((), None, None)]
@@ -265,17 +269,6 @@ def _run_grid(cfg: Pattern1Config):
                 records.extend(_run_method(method, y, truths[rep], cfg, sigma, noise_seed,
                                            ratio, scale) for method in cfg.methods)
     return records
-
-
-def run_pattern1(cfg: Pattern1Config):
-    """Noise sweep: one record per (sigma, rep, method), in grid order. The
-    config's outlier axes decide the cells, as in :func:`run_pattern2`."""
-    return _run_grid(cfg)
-
-
-def run_pattern2(cfg: Pattern2Config):
-    """Outlier grid: one record per (sigma, ratio, scale, rep, method)."""
-    return _run_grid(cfg)
 
 
 def _fmt(v) -> str:

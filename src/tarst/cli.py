@@ -57,11 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("denoise", help="denoise a tensor text file")
     p_den.add_argument("input", help="input tensor file")
     p_den.add_argument("output", help="output tensor file")
-    rule = p_den.add_mutually_exclusive_group()
-    rule.add_argument("--sigma", type=float, default=None,
-                      help="known noise standard deviation")
-    rule.add_argument("--median", action="store_true",
-                      help="median-calibrated threshold (default)")
+    p_den.add_argument("--sigma", type=float, default=None,
+                       help="known noise standard deviation (default: the median rule)")
 
     p_thr = sub.add_parser("thresholds", help="print threshold constants")
     p_thr.add_argument("--beta", type=float, required=True,

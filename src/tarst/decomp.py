@@ -13,11 +13,11 @@ projected onto the retained left singular subspaces,
 Each public function validates its input once and then unfolds and
 multiplies with the unchecked kernels of ``tensor_ops``. HOSVD (also HOOI's
 start) and TARST share one per-mode loop, ``_truncated_tucker``: unfold,
-factorize with :func:`~tarst.linalg.svd`, truncate at the rank a callback
-picks. HOOI's sweeps factorize their projections with the same ``svd``,
-which checks each one for overflow. Each model counts the factorizations
-that built it in ``svd_calls``: N for HOSVD and TARST, N more per HOOI
-sweep.
+factorize into ``(u, s)`` with :func:`~tarst.linalg.svd`, keep the columns
+of u up to the rank a callback picks from s. HOOI's sweeps factorize their
+projections with the same ``svd``, which checks each one for overflow. Each
+model counts the factorizations that built it in ``svd_calls``: N for
+HOSVD and TARST, N more per HOOI sweep.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def _truncated_tucker(a, rank_of) -> TuckerModel:
     factors = []
     for k in range(a.ndim):
         m = _unfolding(a, k)
-        f = svd(m)
-        factors.append(f.u[:, :rank_of(k, m, f.s)])
+        u, s = svd(m)
+        factors.append(u[:, :rank_of(k, m, s)])
     core = a
     with np.errstate(over="ignore"):  # hosvd reports an overflowing core
         for k, u in enumerate(factors):
@@ -187,7 +187,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
                 for j in range(k + 1, a.ndim):
                     w = _mode_product(w, factors[j].T, j)
                 try:
-                    factors[k] = svd(_unfolding(w, k)).u[:, :ranks[k]]
+                    factors[k] = svd(_unfolding(w, k))[0][:, :ranks[k]]
                 except ValueError:  # svd's one error here: a non-finite projection
                     raise FloatingPointError("HOOI projection overflows float64") from None
                 prefix = _mode_product(prefix, factors[k].T, k)

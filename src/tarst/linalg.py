@@ -1,9 +1,9 @@
 """Thin-SVD contract shared by the thresholding and decomposition code.
 
 One function, :func:`svd`, is the package's only factorization entry point:
-HOSVD, TARST and HOOI's sweeps all call it. It returns the left singular
-vectors and the full spectrum of an m x n matrix, all that the callers read
-(:class:`SvdFactor` has no ``vt``). It is a pure function: the module holds
+HOSVD, TARST and HOOI's sweeps all call it. It returns the pair ``(u, s)``,
+the left singular vectors and the full spectrum of an m x n matrix, all
+that the callers read (no ``vt``). It is a pure function: the module holds
 no state, and the callers count their own factorizations
 (``TuckerModel.svd_calls``). It checks finiteness on every call, because a
 projection of a finite input can overflow. On the Gram path a non-finite
@@ -24,7 +24,7 @@ Two paths compute the same factor:
   is exact and, inside the range, both give the same bits unless some
   product of two entries is subnormal on one side only (entries 2**-61
   times the largest row norm or smaller), so inputs from 1e-300 to 1e300
-  are factorized and ``svd(2**k * a).s == 2**k * svd(a).s`` holds bit for
+  are factorized and ``svd(2**k * a)[1] == 2**k * svd(a)[1]`` holds bit for
   bit. This is the ``nvecs`` approach of Kolda & Bader (SIAM Review 2009):
   one matrix product and an m x m eigenproblem in place of bidiagonalizing
   the whole m x n matrix, about 20x less time on a 100 x 10000 input.
@@ -42,11 +42,9 @@ to eps * s_max in absolute terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SvdFactor", "svd"]
+__all__ = ["svd"]
 
 # Gram conditioning gate: smallest accepted lambda_min / lambda_max. At the
 # gate the Gram singular values agree with LAPACK's to ~1e-10 relative
@@ -55,29 +53,10 @@ __all__ = ["SvdFactor", "svd"]
 _GRAM_RCOND = 1e-6
 
 
-@dataclass(frozen=True)
-class SvdFactor:
-    """Left factor of a thin SVD of an m x n matrix: u (m x q) with
-    orthonormal columns and s (length q, nonincreasing, >= 0), with
-    q = min(m, n)."""
-
-    u: np.ndarray
-    s: np.ndarray
-
-
-def _gram_factor(g, e):
-    """SvdFactor from g = 4**-e a a^T, or None when g is zero or fails the gate."""
-    lam, v = np.linalg.eigh(g)
-    lam, v = lam[::-1], v[:, ::-1]
-    if not lam[-1] >= _GRAM_RCOND * lam[0] > 0:
-        return None
-    with np.errstate(over="ignore"):  # overflow leaves inf, which tarst reports
-        return SvdFactor(u=v, s=np.ldexp(np.sqrt(lam), e))
-
-
-def svd(m) -> SvdFactor:
-    """Left singular vectors and spectrum. Non-convergence propagates as
-    numpy.linalg.LinAlgError.
+def svd(m):
+    """Left factor of a thin SVD: ``(u, s)`` with u (m x q) orthonormal
+    columns and s (length q, nonincreasing, >= 0), q = min(m, n).
+    Non-convergence propagates as numpy.linalg.LinAlgError.
 
     Deterministic for a fixed input within one build, up to the usual sign
     freedom of singular vectors; downstream code only forms projectors
@@ -99,10 +78,11 @@ def svd(m) -> SvdFactor:
             e = np.frexp(max(a.max(), -a.min()))[1]
             b = np.ldexp(a, -e)
             g = b @ b.T
-        f = _gram_factor(g, e)
-        if f is not None:
-            return f
+        lam, v = np.linalg.eigh(g)
+        lam, v = lam[::-1], v[:, ::-1]
+        if lam[-1] >= _GRAM_RCOND * lam[0] > 0:  # else g is zero or fails the gate
+            with np.errstate(over="ignore"):  # overflow leaves inf, which tarst reports
+                return v, np.ldexp(np.sqrt(lam), e)
     elif not np.isfinite(a).all():
         raise ValueError("svd input has non-finite entries")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return SvdFactor(u=u, s=s)
+    return np.linalg.svd(a, full_matrices=False)[:2]

@@ -123,30 +123,34 @@ def mp_cdf(x: float, beta: float) -> float:
     return (r + (1.0 - beta) * diff + beta * (2.0 * t1 + math.pi)) / (2.0 * math.pi * beta)
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """Bisect [lo, hi] to two adjacent floats, keeping ``below`` true at lo
+    and false at hi, and return the upper one."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 @lru_cache(maxsize=None)
 def mp_median(beta: float) -> float:
     """Median of the Marchenko-Pastur distribution with aspect ratio beta.
 
-    Solves :func:`mp_cdf` (mu) = 1/2 by bisection on the support
-    ((1 - sqrt(beta))^2, (1 + sqrt(beta))^2) until the bracket holds two
-    adjacent floats, and returns the upper one: about 60 evaluations of the
-    closed-form CDF, computed, never tabulated, and within a few ulps of
-    the exact median for every beta in (0, 1].
+    Bisects :func:`mp_cdf` (mu) = 1/2 on the support ((1 - sqrt(beta))^2,
+    (1 + sqrt(beta))^2) to adjacent floats (``_bisect``): about 60 evaluations
+    of the closed-form CDF, computed, never tabulated, and within a few ulps
+    of the exact median for every beta in (0, 1].
 
     Cached per beta; the cache is safe to share across threads because the
     function is pure.
     """
     b = _check_beta(beta)
-    lo = (1.0 - math.sqrt(b)) ** 2
-    hi = (1.0 + math.sqrt(b)) ** 2
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        if mp_cdf(mid, b) < 0.5:
-            lo = mid
-        else:
-            hi = mid
+    return _bisect(lambda x: mp_cdf(x, b) < 0.5,
+                   (1.0 - math.sqrt(b)) ** 2, (1.0 + math.sqrt(b)) ** 2)
 
 
 def omega(beta: float) -> float:

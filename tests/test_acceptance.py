@@ -24,7 +24,6 @@ from tarst.bench import (
     gen_lowrank_tensor,
     mean_rrse_by_cell,
     read_csv,
-    run_pattern1,
     run_pattern2,
     write_csv,
 )
@@ -49,7 +48,7 @@ def pattern1_run():
     cfg = Pattern1Config(shape=(10, 10, 10), true_mean=10.0, true_std=2.0,
                          true_ranks=(3, 3, 3), reps=5, seed=0)
     t0 = time.perf_counter()
-    records = run_pattern1(cfg)
+    records = run_pattern2(cfg)
     return cfg, records, time.perf_counter() - t0
 
 

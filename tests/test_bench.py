@@ -23,7 +23,6 @@ from tarst.bench import (
     inject_outliers,
     mean_rrse_by_cell,
     read_csv,
-    run_pattern1,
     run_pattern2,
     write_csv,
     write_matrix_file,
@@ -253,6 +252,19 @@ def test_pattern1_config_validation():
         Pattern1Config(outlier_scales=(10.0,))
 
 
+def test_config_reps_and_seed_must_be_integers():
+    # a float reps used to pass the check and fail inside the runner, and a
+    # float seed silently ran the grid of its integer part
+    for cls in (Pattern1Config, Pattern2Config):
+        for field in ("reps", "seed"):
+            for bad in (2.5, 2.0, "2"):
+                with pytest.raises(TypeError):
+                    cls(**{field: bad})
+    cfg = Pattern1Config(reps=np.int64(2), seed=np.uint32(7))
+    assert (cfg.reps, cfg.seed) == (2, 7)
+    assert type(cfg.reps) is int and type(cfg.seed) is int
+
+
 def test_pattern2_config_validation():
     with pytest.raises(ValueError, match="ratios"):
         Pattern2Config(outlier_ratios=(0.0,))
@@ -280,7 +292,7 @@ def test_config_defaults_fill_ranks():
     assert Pattern2Config(shape=(50, 50, 50)).true_ranks == (5, 5, 5)
 
 
-# --- run_pattern1 ---
+# --- run_pattern2 on Pattern 1 configs ---
 
 
 def _p1_small(**kw):
@@ -292,7 +304,7 @@ def _p1_small(**kw):
 
 def test_pattern1_bookkeeping():
     cfg = _p1_small()
-    records = run_pattern1(cfg)
+    records = run_pattern2(cfg)
     assert len(records) == len(cfg.sigma_grid) * cfg.reps * len(cfg.methods)
     for rec in records:
         assert rec.method in METHODS
@@ -320,7 +332,7 @@ def test_rank_given_records_hold_the_ranks_returned():
     # the 6 x 4 mode-1 unfolding has four singular vectors, so HOSVD and
     # HOOI return rank 4 there although rank 5 was asked for
     cfg = _p1_small(shape=(6, 2, 2), true_ranks=(5, 2, 2), sigma_grid=(1.0,), reps=1)
-    got = {r.method: r.estimated_ranks for r in run_pattern1(cfg)}
+    got = {r.method: r.estimated_ranks for r in run_pattern2(cfg)}
     assert got["HOSVD"] == got["HOOI"] == (4, 2, 2)
 
 
@@ -328,7 +340,7 @@ def test_pattern1_baseline_matches_noise_norm_oracle():
     cfg = Pattern1Config(shape=(10, 10, 10), true_ranks=(3, 3, 3),
                          sigma_grid=(0.5, 1.0), reps=3, seed=5,
                          methods=("Baseline",))
-    records = run_pattern1(cfg)
+    records = run_pattern2(cfg)
     p = float(np.prod(cfg.shape))
     k = 0
     for sigma in cfg.sigma_grid:
@@ -346,7 +358,7 @@ def test_pattern1_baseline_matches_noise_norm_oracle():
 def test_pattern1_baseline_mean_rrse_monotone_in_sigma():
     cfg = Pattern1Config(sigma_grid=tuple(float(s) for s in np.logspace(-1, 1, 6)),
                          reps=3, seed=0, methods=("Baseline",))
-    means = mean_rrse_by_cell(run_pattern1(cfg))
+    means = mean_rrse_by_cell(run_pattern2(cfg))
     series = [means[("Baseline", s, None, None)] for s in cfg.sigma_grid]
     assert all(a < b for a, b in zip(series, series[1:]))
 
@@ -357,7 +369,7 @@ def test_pattern1_degenerate_tarst_records_exact_unit_rrse():
     cfg = Pattern1Config(shape=(10, 10, 10), true_mean=0.0, true_std=0.25,
                          true_ranks=(3, 3, 3), sigma_grid=(10.0,), reps=5,
                          seed=0, methods=("TARST",))
-    records = run_pattern1(cfg)
+    records = run_pattern2(cfg)
     assert len(records) == 5
     for rec in records:
         assert rec.estimated_ranks == (0, 0, 0)
@@ -369,7 +381,7 @@ def test_pattern1_low_noise_no_method_loses_on_exact_rank_truth():
     # and at the smallest sigma every denoiser stays within 5% of the no-op
     cfg = Pattern1Config(shape=(10, 10, 10), true_mean=0.0, true_std=2.0,
                          true_ranks=(3, 3, 3), sigma_grid=(0.1,), reps=5, seed=0)
-    means = mean_rrse_by_cell(run_pattern1(cfg))
+    means = mean_rrse_by_cell(run_pattern2(cfg))
     base = means[("Baseline", 0.1, None, None)]
     for method in METHODS:
         assert means[(method, 0.1, None, None)] <= base * 1.05
@@ -384,7 +396,7 @@ def test_pattern1_low_noise_no_method_loses_on_exact_rank_truth():
 def test_pattern1_low_noise_no_lose_under_default_mean():
     cfg = Pattern1Config(shape=(10, 10, 10), true_mean=10.0, true_std=2.0,
                          true_ranks=(3, 3, 3), sigma_grid=(0.1,), reps=5, seed=0)
-    means = mean_rrse_by_cell(run_pattern1(cfg))
+    means = mean_rrse_by_cell(run_pattern2(cfg))
     base = means[("Baseline", 0.1, None, None)]
     for method in METHODS:
         assert means[(method, 0.1, None, None)] <= base * 1.05
@@ -394,8 +406,8 @@ def test_pattern1_rerun_identical_except_wall_time():
     from dataclasses import replace
 
     cfg = _p1_small()
-    a = [replace(r, wall_time_ms=0.0) for r in run_pattern1(cfg)]
-    b = [replace(r, wall_time_ms=0.0) for r in run_pattern1(cfg)]
+    a = [replace(r, wall_time_ms=0.0) for r in run_pattern2(cfg)]
+    b = [replace(r, wall_time_ms=0.0) for r in run_pattern2(cfg)]
     assert a == b
 
 
@@ -403,13 +415,13 @@ def test_pattern1_cells_independent_of_grid_extension():
     # adding sigma points must not perturb existing cells
     short = Pattern1Config(shape=(8, 8, 8), sigma_grid=(0.5,), reps=2, seed=3)
     long = Pattern1Config(shape=(8, 8, 8), sigma_grid=(0.5, 1.0), reps=2, seed=3)
-    ra = [r for r in run_pattern1(short)]
-    rb = [r for r in run_pattern1(long) if r.sigma == 0.5]
+    ra = [r for r in run_pattern2(short)]
+    rb = [r for r in run_pattern2(long) if r.sigma == 0.5]
     assert [(r.method, r.seed, r.rrse) for r in ra] == \
         [(r.method, r.seed, r.rrse) for r in rb]
 
 
-# --- run_pattern2 ---
+# --- run_pattern2 on Pattern 2 configs ---
 
 
 def test_pattern2_bookkeeping():
@@ -449,7 +461,7 @@ def test_concurrent_runs_record_what_a_serial_run_records():
 )
 def test_pattern2_mild_contamination_within_2x_of_pattern1():
     common = dict(shape=(10, 10, 10), true_ranks=(3, 3, 3), reps=3, seed=0)
-    means1 = mean_rrse_by_cell(run_pattern1(
+    means1 = mean_rrse_by_cell(run_pattern2(
         Pattern1Config(sigma_grid=(0.1,), **common)))
     means2 = mean_rrse_by_cell(run_pattern2(
         Pattern2Config(sigma_grid=(0.1,), outlier_ratios=(0.01,),
@@ -544,8 +556,8 @@ def test_csv_writer_deterministic_and_parse_back_exact(tmp_path, records):
 def test_pipeline_csv_rerun_identical_modulo_wall_time(tmp_path):
     cfg = _p1_small()
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(run_pattern1(cfg), pa)
-    write_csv(run_pattern1(cfg), pb)
+    write_csv(run_pattern2(cfg), pa)
+    write_csv(run_pattern2(cfg), pb)
 
     def strip_wall(path):
         rows = path.read_text().splitlines()

@@ -51,13 +51,14 @@ def test_denoise_rank1_known_sigma(tmp_path, capsys):
     np.testing.assert_allclose(est, x, atol=1e-6)
 
 
-def test_denoise_sigma_and_median_conflict(tmp_path, capsys):
+def test_denoise_median_flag_is_unrecognized(tmp_path, capsys):
+    # the median rule is the default, so there is no flag that selects it
     src = tmp_path / "in.txt"
     write_tensor(np.ones((2, 2)), src)
-    code = main(["denoise", str(src), str(tmp_path / "o.txt"),
-                 "--sigma", "1.0", "--median"])
-    assert code == 1
-    assert "not allowed" in capsys.readouterr().err
+    for extra in ([], ["--sigma", "1.0"]):
+        assert main(["denoise", str(src), str(tmp_path / "o.txt"), "--median", *extra]) == 1
+        assert "unrecognized arguments: --median" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_denoise_malformed_input_exits_2(tmp_path, capsys):
@@ -96,7 +97,7 @@ def test_denoise_pure_noise_warns_and_writes_zero(tmp_path, capsys):
     rng = np.random.default_rng(0)
     src, dst = tmp_path / "noise.txt", tmp_path / "out.txt"
     write_tensor(rng.standard_normal((12, 12, 12)), src)
-    assert main(["denoise", str(src), str(dst), "--median"]) == 0
+    assert main(["denoise", str(src), str(dst)]) == 0
     captured = capsys.readouterr()
     assert "zero tensor" in captured.err
     assert all(line.endswith("rank=0") for line in captured.out.strip().splitlines())

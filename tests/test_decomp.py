@@ -139,14 +139,14 @@ def _hooi_reference(y, ranks, tol=1e-8, max_iter=50):
     def unf(t, k):
         return np.moveaxis(t, k, 0).reshape(t.shape[k], -1)
 
-    factors = [svd(unf(y, k)).u[:, :r] for k, r in enumerate(ranks)]
+    factors = [svd(unf(y, k))[0][:, :r] for k, r in enumerate(ranks)]
     ynorm = frobenius_norm(y)
     core = project(y, factors)
     prev_fit = frobenius_norm(core) / ynorm if ynorm > 0 else 0.0
     fits = []
     for _ in range(max_iter):
         for k in range(y.ndim):
-            factors[k] = svd(unf(project(y, factors, skip=k), k)).u[:, :ranks[k]]
+            factors[k] = svd(unf(project(y, factors, skip=k), k))[0][:, :ranks[k]]
         core = project(y, factors)
         fit = frobenius_norm(core) / ynorm if ynorm > 0 else 0.0
         fits.append(fit)

@@ -1,7 +1,7 @@
-"""The package imports and denoises with numpy only.
+"""The package needs numpy only, at import and in every command.
 
-scipy is loaded lazily by ``metrics.summarize`` alone; the tests keep using
-it as an independent oracle, so this check runs in a fresh interpreter.
+The tests keep using scipy as an independent oracle, so this check runs in
+a fresh interpreter in which importing scipy fails.
 """
 
 import dataclasses
@@ -16,20 +16,46 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROGRAM = f"""
-import sys
+import os, sys, tempfile
 sys.path.insert(0, {str(SRC)!r})
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
 import numpy as np
 import tarst, tarst.cli
 y = np.random.default_rng(0).standard_normal((6, 5, 4)) + 3.0
 tarst.reconstruct(tarst.tarst(y, tarst.MedianBased()).model)
+print(tarst.summarize([0.0, 2.0]))
+with tempfile.TemporaryDirectory() as tmp:
+    src, dst, csv = (os.path.join(tmp, f) for f in ("in.txt", "out.txt", "p1.csv"))
+    tarst.write_tensor(y, src)
+    print("denoise exit", tarst.cli.main(["denoise", src, dst]))
+    print("bench-p1 exit", tarst.cli.main(["bench-p1", "--shape", "4,4,4", "--ranks", "2,2,2",
+                                           "--reps", "2", "--methods", "TARST", "--out", csv]))
+try:
+    import scipy
+except ModuleNotFoundError:
+    print("scipy blocked")
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_import_and_denoise_load_no_scipy():
-    out = subprocess.run([sys.executable, "-c", PROGRAM], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    lines = subprocess.run([sys.executable, "-c", PROGRAM], capture_output=True,
+                           text=True, check=True).stdout.strip().splitlines()
+    assert lines[0].startswith("SummaryStat(mean=1.0, ci95_low=-11.706")
+    assert lines[1].startswith("mode 1: tau=") and "denoise exit 0" in lines
+    table = [ln for ln in lines if ln.startswith("sigma=")]
+    assert len(table) == 20 and all("TARST" in ln for ln in table)
+    assert lines[-4].startswith("wrote 40 records to ")
+    assert lines[-3:] == ["bench-p1 exit 0", "scipy blocked", "[]"]
 
 
 # the public surface, module by module; private kernels stay unexported
@@ -37,10 +63,10 @@ PUBLIC = {
     "tarst": [
         "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
         "add_gaussian_noise", "default_sigma_grid", "derive_seed",
-        "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern1",
-        "run_pattern2", "write_csv", "write_matrix_file",
+        "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern2",
+        "write_csv", "write_matrix_file",
         "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
-        "SvdFactor", "svd",
+        "svd",
         "SummaryStat", "rrse", "summarize",
         "KnownSigma", "MedianBased", "ThresholdRule", "hard_threshold",
         "lambda_star", "mp_median", "omega", "threshold_for_unfolding",
@@ -51,12 +77,12 @@ PUBLIC = {
     "tarst.bench": [
         "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
         "default_sigma_grid", "derive_seed", "gen_lowrank_tensor",
-        "add_gaussian_noise", "inject_outliers", "run_pattern1", "run_pattern2",
+        "add_gaussian_noise", "inject_outliers", "run_pattern2",
         "write_csv", "read_csv", "write_matrix_file", "CSV_COLUMNS",
     ],
     "tarst.cli": None,
     "tarst.decomp": ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"],
-    "tarst.linalg": ["SvdFactor", "svd"],
+    "tarst.linalg": ["svd"],
     "tarst.metrics": ["SummaryStat", "rrse", "summarize"],
     "tarst.svht": [
         "KnownSigma", "MedianBased", "ThresholdRule", "lambda_star", "mp_cdf",
@@ -82,7 +108,6 @@ def test_public_api_is_pinned(name):
 FIELDS = {
     "TuckerModel": ["core", "factors", "svd_calls", "fits"],
     "TarstReport": ["model", "thresholds"],
-    "SvdFactor": ["u", "s"],
     "TrialRecord": ["method", "shape", "sigma", "outlier_ratio", "outlier_scale", "seed",
                     "rrse", "estimated_ranks", "wall_time_ms", "svd_calls"],
     "SummaryStat": ["mean", "ci95_low", "ci95_high", "n"],

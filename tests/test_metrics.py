@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tarst.decomp import reconstruct, tarst
 from tarst.metrics import SummaryStat, rrse, summarize
-from tarst.svht import KnownSigma
+from tarst.svht import KnownSigma, mp_median, omega
 from tarst.tensor_ops import frobenius_norm
 
 # t_{0.975, 1} has the closed form tan(0.475 * pi); frozen from that identity
@@ -95,10 +95,12 @@ def test_summarize_two_samples_uses_df1_quantile():
     # mean 1, sd sqrt(2), half-width t * sd / sqrt(2) = t971 * 1
     s = summarize([0.0, 2.0])
     assert s.mean == pytest.approx(1.0)
-    # scipy inverts the CDF numerically; agreement with the exact tangent
-    # form is ~3e-10 relative, not machine precision
+    # the quantile bisects the df=1 CDF 2 atan(t) / pi to adjacent floats, so
+    # it matches the tangent form to roundoff, well inside the 1e-8 bounds
     assert s.ci95_high - s.mean == pytest.approx(T975_DF1, rel=1e-8)
     assert s.mean - s.ci95_low == pytest.approx(T975_DF1, rel=1e-8)
+    tangent = math.tan(0.475 * math.pi)
+    assert s.ci95_high - s.mean == pytest.approx(tangent, rel=1e-14, abs=0)
 
 
 def test_summarize_interval_contains_mean_and_is_symmetric():
@@ -191,3 +193,37 @@ def test_rrse_leaves_its_inputs_unchanged():
         rrse(est, truth)
         np.testing.assert_array_equal(truth, t0)
         np.testing.assert_array_equal(est, e0)
+
+
+# nu = n - 1: every small sample size, and large ones where the series is longest
+ORACLE_DFS = list(range(1, 300)) + [500, 1000, 4999, 20000]
+
+
+def test_summarize_half_width_matches_scipy_t_quantile():
+    from scipy.stats import t as student_t
+
+    for nu in ORACLE_DFS:
+        data = np.zeros(nu + 1)
+        data[:2] = (1.0, -1.0)  # mean exactly 0, so ci95_high is the half-width
+        s = summarize(data)
+        sd = float(np.std(data, ddof=1))
+        expect = float(student_t.ppf(0.975, nu)) * sd / math.sqrt(nu + 1)
+        assert s.mean == 0.0 and s.ci95_low == -s.ci95_high
+        assert s.ci95_high == pytest.approx(expect, rel=1e-12, abs=0), nu
+
+
+# mp_median's bisection is shared with the t quantile; these pins hold its
+# bits, and omega's, fixed
+MP_MEDIAN_BITS = {
+    1.0: ("0x1.4e38a5f1dd137p-1", "0x1.6dded1e5bf391p+1"),
+    0.5: ("0x1.a932d2f3abe97p-1", "0x1.15e966c894ef6p+1"),
+    0.25: ("0x1.d4fe7c4d34288p-1", "0x1.d63cd624000c1p+0"),
+    0.1: ("0x1.eee1a08318da7p-1", "0x1.9bd873e9bed4dp+0"),
+    0.01: ("0x1.fe4af6a9d72bdp-1", "0x1.6fe8d39b790a3p+0"),
+    0.001: ("0x1.ffd44edb9b89ep-1", "0x1.6aa3ecf1897e1p+0"),
+}
+
+
+@pytest.mark.parametrize("beta", sorted(MP_MEDIAN_BITS))
+def test_mp_median_and_omega_bits_are_pinned(beta):
+    assert (mp_median(beta).hex(), omega(beta).hex()) == MP_MEDIAN_BITS[beta]
