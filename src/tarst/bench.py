@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ import numpy as np
 from .decomp import hooi, hosvd, reconstruct, tarst
 from .metrics import rrse
 from .svht import KnownSigma, MedianBased
-from .tensor_ops import multi_mode_product
+from .tensor_ops import _as_int, multi_mode_product
 
 __all__ = [
     "METHODS",
@@ -75,7 +74,8 @@ def default_true_ranks(shape):
 def derive_seed(master: int, *indices) -> int:
     """Stable per-cell seed: mixes the master seed with grid indices via
     numpy's SeedSequence (a documented, platform-independent hash)."""
-    ss = np.random.SeedSequence([int(master) & 0xFFFFFFFF, *(int(i) for i in indices)])
+    entropy = [_as_int(master, "seed") & 0xFFFFFFFF, *(_as_int(i, "index") for i in indices)]
+    ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -98,12 +98,12 @@ class Pattern1Config:
 
     def __post_init__(self):
         """Store the sequences as tuples, fill in the default ranks, and
-        check every field; a non-integer reps or seed raises TypeError."""
-        shape = tuple(int(i) for i in self.shape)
+        check every field; a non-integer count raises TypeError."""
+        shape = tuple(_as_int(i, "extent") for i in self.shape)
         ranks = default_true_ranks(shape) if self.true_ranks is None else self.true_ranks
-        fields = {"shape": shape, "true_ranks": tuple(int(r) for r in ranks),
-                  "methods": tuple(self.methods), "reps": operator.index(self.reps),
-                  "seed": operator.index(self.seed)}
+        fields = {"shape": shape, "true_ranks": tuple(_as_int(r, "rank") for r in ranks),
+                  "methods": tuple(self.methods), "reps": _as_int(self.reps, "reps"),
+                  "seed": _as_int(self.seed, "seed")}
         for name in ("sigma_grid", "outlier_ratios", "outlier_scales"):
             fields[name] = tuple(float(v) for v in getattr(self, name))
         for name, value in fields.items():
@@ -171,8 +171,8 @@ def gen_lowrank_tensor(shape, ranks, mean: float, std: float, seed: int) -> np.n
     raise the rank of the mean-free case), so the sample mean matches
     ``mean`` only up to a fluctuation that shrinks with the tensor size.
     """
-    shape = tuple(int(i) for i in shape)
-    ranks = tuple(int(r) for r in ranks)
+    shape = tuple(_as_int(i, "extent") for i in shape)
+    ranks = tuple(_as_int(r, "rank") for r in ranks)
     if len(ranks) != len(shape) or any(not 1 <= r <= i for r, i in zip(ranks, shape)):
         raise ValueError(f"ranks {ranks!r} out of range for shape {shape}")
     if not (math.isfinite(mean) and math.isfinite(std) and std >= 0):

@@ -14,10 +14,11 @@ Each public function validates its input once and then unfolds and
 multiplies with the unchecked kernels of ``tensor_ops``. HOSVD (also HOOI's
 start) and TARST share one per-mode loop, ``_truncated_tucker``: unfold,
 factorize into ``(u, s)`` with :func:`~tarst.linalg.svd`, keep the columns
-of u up to the rank a callback picks from s. HOOI's sweeps factorize their
-projections with the same ``svd``, which checks each one for overflow. Each
-model counts the factorizations that built it in ``svd_calls``: N for
-HOSVD and TARST, N more per HOOI sweep.
+of u up to the rank a callback picks from s; TARST's reads the cutoff off the
+sorted s with the one cutoff kernel of ``svht``. HOOI's sweeps factorize
+their projections with the same ``svd``, which checks each one for
+overflow. Each model counts the factorizations that built it in
+``svd_calls``: N for HOSVD and TARST, N more per HOOI sweep.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import svd
-from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
-                   threshold_for_unfolding)
-from .tensor_ops import _mode_product, _unfolding, frobenius_norm, multi_mode_product
+from .svht import KnownSigma, MedianBased, ThresholdRule, _cutoff
+from .tensor_ops import _as_int, _mode_product, _unfolding, frobenius_norm, multi_mode_product
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
 
@@ -86,7 +86,7 @@ def _validated(y) -> np.ndarray:
 
 
 def _check_ranks(shape, ranks):
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(_as_int(r, "rank") for r in ranks)
     if len(ranks) != len(shape):
         raise ValueError(f"expected {len(shape)} ranks, got {len(ranks)}")
     for k, (r, i) in enumerate(zip(ranks, shape)):
@@ -171,7 +171,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     ranks = _check_ranks(a.shape, ranks)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if int(max_iter) < 1:
+    if _as_int(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
     start = _truncated_tucker(a, lambda k, m, s: ranks[k])  # HOSVD
@@ -180,7 +180,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
     with np.errstate(over="ignore"):  # overflowed projections and cores raise below
-        for _ in range(int(max_iter)):
+        for _ in range(max_iter):
             prefix = a
             for k in range(a.ndim):
                 w = prefix
@@ -207,10 +207,11 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
 def tarst(y, rule: ThresholdRule) -> TarstReport:
     """Rank-free denoising by per-mode singular-value thresholding.
 
-    For each mode: unfold, thin SVD, pick the cutoff via
-    :func:`threshold_for_unfolding`, and keep the left singular vectors whose
-    singular values survive. The estimate is the input projected onto the
-    kept subspaces. Exactly N SVDs, no iteration, no rank input.
+    For each mode: unfold, thin SVD, take the cutoff of
+    :func:`threshold_for_unfolding` from the sorted spectrum, and keep the
+    left singular vectors whose singular values reach it. The estimate is
+    the input projected onto the kept subspaces. Exactly N SVDs, no
+    iteration, no rank input.
 
     ``rule`` is :class:`KnownSigma` or :class:`MedianBased`. Under the
     median rule a mode whose unfolding has a single singular value (a mode
@@ -231,12 +232,12 @@ def tarst(y, rule: ThresholdRule) -> TarstReport:
     taus = []
 
     def rank_of(k, m, s):
-        tau = threshold_for_unfolding(m.shape[0], m.shape[1], rule, s)
+        tau = float(_cutoff(m.shape[0], m.shape[1], rule, s))
         if not np.isfinite(tau):  # entries or sigma near the float maximum
             raise FloatingPointError(f"threshold of the mode-{k} unfolding overflows float64")
-        taus.append(float(tau))
+        taus.append(tau)
         # tau == 0 only for an all-zero unfolding under the median rule
-        return hard_threshold(s, tau)[1] if tau > 0 else 0
+        return int(np.count_nonzero(s >= tau)) if tau > 0 else 0
 
     model = _truncated_tucker(a, rank_of)
     return TarstReport(model=model, thresholds=tuple(taus))

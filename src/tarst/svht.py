@@ -26,7 +26,10 @@ floored at ``max(m, n) * eps * s_max``, the ``numpy.linalg.matrix_rank``
 tolerance. Singular values below it are indistinguishable from floating-
 point roundoff of the largest one, so they never count as rank: a constant
 tensor gets rank 1 in every mode at any magnitude, and an all-zero tensor
-gets a zero cutoff, which keeps nothing.
+gets a zero cutoff, which keeps nothing. One private kernel computes every
+cutoff from the spectrum sorted nonincreasing, as ``linalg.svd`` returns it,
+reading the median and s_max off it; :func:`threshold_for_unfolding` sorts
+its spectrum first.
 
 Thresholding is hard: values at or above the cutoff pass unchanged, the
 rest become zero. The boundary is inclusive (>=).
@@ -40,6 +43,8 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
+
+from .tensor_ops import _as_int
 
 __all__ = [
     "KnownSigma",
@@ -159,21 +164,12 @@ def omega(beta: float) -> float:
     return lambda_star(b) / math.sqrt(mp_median(b))
 
 
-def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> float:
-    """Concrete cutoff for one m x n unfolding under the given rule.
-
-    ``s`` is the observed spectrum, required by the median-based rule and
-    optional for the known-sigma rule; when given, the cutoff is floored at
-    the roundoff level ``max(m, n) * eps * max(s)``. Transpose-invariant:
-    beta = min/max and the known-sigma formula scales by sqrt(max(m, n)).
-    """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
+def _cutoff(m: int, n: int, rule: ThresholdRule, s) -> float:
+    """:func:`threshold_for_unfolding` for a nonincreasing spectrum s, or None."""
     big, small = (m, n) if m >= n else (n, m)
+    if small < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
     beta = small / big
-    if s is not None:
-        s = np.asarray(s, dtype=np.float64)
     if isinstance(rule, KnownSigma):
         tau = lambda_star(beta) * math.sqrt(big) * rule.sigma
     elif isinstance(rule, MedianBased):
@@ -181,13 +177,30 @@ def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> floa
             raise ValueError("median-based rule needs the observed spectrum")
         # one singular value: only the roundoff floor below applies; an even
         # count's median is the midpoint of the central two, inf on overflow
-        with np.errstate(over="ignore"):
-            tau = 0.0 if small == 1 else omega(beta) * float(np.median(s))
+        h = s.size // 2
+        median = float(s[h]) if s.size % 2 else (float(s[h - 1]) + float(s[h])) / 2
+        tau = 0.0 if small == 1 else omega(beta) * median
     else:
         raise TypeError(f"unknown threshold rule {rule!r}")
     if s is not None and s.size:
-        tau = max(tau, big * _EPS * float(s.max()))
+        tau = max(tau, big * _EPS * float(s[0]))
     return tau
+
+
+def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> float:
+    """Concrete cutoff for one m x n unfolding (integers) under the given rule.
+
+    ``s`` is the observed spectrum in any order, without NaN, required by the
+    median-based rule and optional for the known-sigma rule; when given, the
+    cutoff is floored at the roundoff level ``max(m, n) * eps * max(s)``.
+    Transpose-invariant: beta = min/max and the known-sigma formula scales by
+    sqrt(max(m, n)).
+    """
+    if s is not None:
+        s = np.sort(np.asarray(s, dtype=np.float64), axis=None)[::-1]
+        if np.isnan(s).any():
+            raise ValueError("spectrum has NaN entries")
+    return _cutoff(_as_int(m, "m"), _as_int(n, "n"), rule, s)
 
 
 def hard_threshold(s, tau: float):

@@ -24,6 +24,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -44,8 +45,16 @@ def _as_float_array(t) -> np.ndarray:
     return a
 
 
+def _as_int(value, what: str) -> int:
+    """``operator.index(value)``; a float, even 2.0, raises TypeError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_mode(ndim: int, mode: int) -> int:
-    mode = int(mode)
+    mode = _as_int(mode, "mode")
     if not 0 <= mode < ndim:
         raise ValueError(f"mode {mode} out of range for a {ndim}-way tensor")
     return mode
@@ -100,7 +109,7 @@ def unfold(t, mode: int) -> np.ndarray:
 def fold(m, mode: int, shape) -> np.ndarray:
     """Inverse of :func:`unfold` for the given mode and target shape."""
     a = np.asarray(m, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(_as_int(s, "extent") for s in shape)
     if any(s < 1 for s in shape):
         raise ValueError(f"invalid target shape {shape}")
     mode = _check_mode(len(shape), mode)

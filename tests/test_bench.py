@@ -54,6 +54,15 @@ def test_derive_seed_masks_master_to_32_bits():
     assert derive_seed(2**32 + 5, 1, 0) == derive_seed(5, 1, 0)
 
 
+def test_derive_seed_rejects_non_integers():
+    # int() used to truncate: derive_seed(1.5, 2.7) was derive_seed(1, 2)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        derive_seed(1.5, 2)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        derive_seed(1, 2.0)
+    assert derive_seed(np.int64(7), np.uint8(2), 3) == derive_seed(7, 2, 3)
+
+
 def test_derive_seed_distinguishes_cells():
     seen = {derive_seed(0, tag, i, j) for tag in (1, 2, 3)
             for i in range(5) for j in range(5)}
@@ -223,6 +232,28 @@ def test_default_true_ranks():
     assert default_true_ranks((10, 10, 10)) == (3, 3, 3)
     assert default_true_ranks((50, 50, 50)) == (5, 5, 5)
     assert default_true_ranks((2, 5)) == (2, 3)
+
+
+def test_config_and_generator_shapes_and_ranks_must_be_integers():
+    # int() used to truncate: shape (10.9, 10, 10) with ranks (3.7, 3, 3)
+    # ran a 10^3 grid at ranks (3, 3, 3)
+    for cls in (Pattern1Config, Pattern2Config):
+        with pytest.raises(TypeError, match="extent must be an integer"):
+            cls(shape=(10.9, 10, 10), true_ranks=(3, 3, 3))
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            cls(shape=(10, 10, 10), true_ranks=(3.7, 3, 3))
+        with pytest.raises(TypeError, match="extent must be an integer"):
+            cls(shape=(10.0, 10, 10))
+    with pytest.raises(TypeError, match="extent must be an integer"):
+        gen_lowrank_tensor((4.5, 4, 4), (2, 2, 2), 0.0, 1.0, seed=0)
+    with pytest.raises(TypeError, match="rank must be an integer"):
+        gen_lowrank_tensor((4, 4, 4), (2.9, 2, 2), 0.0, 1.0, seed=0)
+    # numpy integers are integers, stored as int
+    cfg = Pattern1Config(shape=np.array([6, 6, 6]), true_ranks=(np.int64(2), np.uint8(2), 2))
+    assert cfg.shape == (6, 6, 6) and cfg.true_ranks == (2, 2, 2)
+    assert all(type(v) is int for v in cfg.shape + cfg.true_ranks)
+    x = gen_lowrank_tensor(np.array([4, 4, 4]), np.array([2, 2, 2]), 0.0, 1.0, seed=0)
+    np.testing.assert_array_equal(x, gen_lowrank_tensor((4, 4, 4), (2, 2, 2), 0.0, 1.0, seed=0))
 
 
 def test_pattern1_config_validation():

@@ -6,14 +6,16 @@ behavior of the denoiser (rank discovery, degeneracy on pure noise) is
 pinned at fixed seeds.
 """
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tarst import decomp
+from test_checked_boundary import _ref_tarst, _same_model
+from tarst import decomp, svht
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
 from tarst.linalg import svd
 from tarst.svht import KnownSigma, MedianBased
@@ -406,6 +408,67 @@ def test_tarst_validation():
         tarst(y, "median")
     with pytest.raises(ValueError, match="non-finite"):
         tarst(np.array([[np.nan, 0.0]]), MedianBased())
+    for shape in [(0, 3), (3, 0, 2), (0,)]:
+        for rule in (MedianBased(), KnownSigma(1.0)):
+            with pytest.raises(ValueError, match="^matrix dimensions must be positive, got "):
+                tarst(np.zeros(shape), rule)
+
+
+# ----------------------------------------------------------- cutoff kernel
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1),
+       st.floats(-200.0, 200.0), st.sampled_from(["noise", "lowrank", "constant", "zero"]),
+       st.sampled_from(["median", "known"]))
+@example([4, 5, 6], 0, 0.0, "lowrank", "median")  # even spectrum lengths
+@example([3, 5, 7], 0, 0.0, "lowrank", "median")  # odd spectrum lengths
+@example([1, 6, 1, 3], 1, 150.0, "noise", "median")  # extent-1 modes
+@example([9], 2, -150.0, "noise", "known")  # 1-way
+def test_tarst_cutoff_kernel_matches_public_threshold_and_hard_threshold(
+        shape, seed, log10_c, kind, rule_kind):
+    # the kernel reads the median and s_max off the sorted spectrum; the
+    # reference sorts nothing: threshold_for_unfolding + hard_threshold
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** log10_c
+    shape = tuple(shape)
+    if kind == "noise":
+        y = c * rng.standard_normal(shape)
+    elif kind == "lowrank":
+        ranks = tuple(min(2, i) for i in shape)
+        y = c * (random_tucker(rng, shape, ranks, scale=10.0) + rng.standard_normal(shape))
+    else:
+        y = np.full(shape, c if kind == "constant" else 0.0)
+    rule = MedianBased() if rule_kind == "median" else KnownSigma(c * 0.5)
+    report = tarst(y, rule)
+    model, taus, ranks, _ = _ref_tarst(y, rule)
+    assert [t.hex() for t in report.thresholds] == [t.hex() for t in taus]
+    assert report.estimated_ranks == ranks
+    assert _same_model(report.model, model)
+
+
+def test_tarst_cutoff_skips_median_and_the_public_threshold_functions(monkeypatch):
+    # tarst reads each cutoff off the sorted spectrum with svht's kernel; it
+    # calls neither numpy's median nor the public cutoff and rank functions,
+    # wherever they are bound
+    def boom(*args, **kwargs):
+        raise AssertionError("tarst took the general cutoff path")
+
+    rng = np.random.default_rng(15)
+    cases = [(y, rule) for y in (random_tucker(rng, (10, 10, 10), (3, 3, 3), 10.0)
+                                 + rng.standard_normal((10, 10, 10)), rng.standard_normal(7))
+             for rule in (MedianBased(), KnownSigma(1.0))]
+    want = [tarst(y, rule) for y, rule in cases]
+    monkeypatch.setattr(np, "median", boom)
+    for name in ("hard_threshold", "threshold_for_unfolding"):
+        orig = getattr(svht, name)
+        for modname, mod in list(sys.modules.items()):
+            if (modname == "tarst" or modname.startswith("tarst.")) and getattr(
+                    mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, boom)
+    for (y, rule), w in zip(cases, want):
+        got = tarst(y, rule)
+        assert (got.thresholds, got.estimated_ranks) == (w.thresholds, w.estimated_ranks)
+    assert [w.estimated_ranks for w in want] == [(3, 3, 3), (3, 3, 3), (1,), (0,)]
 
 
 # ------------------------------------------------------------- reconstruct
@@ -429,6 +492,24 @@ def test_reconstruct_validates_consistency():
     with pytest.raises(ValueError, match="factor 1"):
         reconstruct(TuckerModel(core=np.zeros((2, 3)),
                                 factors=[np.eye(2), np.zeros((4, 2))]))
+
+
+def test_non_integer_ranks_and_max_iter_raise_type_error():
+    # int() used to truncate: ranks (2.9, 2, 2) returned ranks (2, 2, 2),
+    # and max_iter=2.5 ran 2 sweeps
+    y = np.random.default_rng(3).standard_normal((4, 5, 6))
+    for ranks in [(2.9, 2, 2), (2.0, 2, 2), ("2", 2, 2)]:
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            hosvd(y, ranks)
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            hooi(y, ranks)
+    for bad in (2.5, 2.0):
+        with pytest.raises(TypeError, match="max_iter must be an integer"):
+            hooi(y, (2, 2, 2), max_iter=bad)
+    # numpy integers are integers
+    assert hosvd(y, np.array([2, 3, 2])).ranks == (2, 3, 2)
+    model = hooi(y, (np.int64(2), 2, 2), tol=1e-300, max_iter=np.int32(2))
+    assert len(model.fits) == 2
 
 
 def test_rank_validation():

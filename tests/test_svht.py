@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from tarst import svht
 from tarst.svht import (KnownSigma, MedianBased, hard_threshold, lambda_star,
                         mp_cdf, mp_median, omega, threshold_for_unfolding)
 
@@ -282,10 +283,52 @@ def test_threshold_median_rule_single_singular_value_gets_floor_only():
         lambda_star(1.0 / 400.0) * 20.0)
 
 
+def _parent_formula(m, n, rule, s):
+    """The cutoff as a general spectrum gives it: numpy's median of s in
+    any order, floored at max(m, n) * eps * max(s)."""
+    big, small = max(m, n), min(m, n)
+    if isinstance(rule, KnownSigma):
+        tau = lambda_star(small / big) * math.sqrt(big) * rule.sigma
+    else:
+        with np.errstate(over="ignore"):
+            tau = 0.0 if small == 1 else omega(small / big) * float(np.median(s))
+    return max(tau, big * np.finfo(np.float64).eps * float(s.max()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40),
+       st.lists(st.floats(0.0, 1.7e308), min_size=1, max_size=12),
+       st.sampled_from([MedianBased(), KnownSigma(0.3), KnownSigma(1e-300)]),
+       st.randoms(use_true_random=False))
+def test_threshold_for_unfolding_is_the_kernel_on_the_sorted_spectrum(m, n, values, rule, rnd):
+    s = np.array(values)
+    shuffled = s.copy()
+    rnd.shuffle(shuffled)
+    want = svht._cutoff(m, n, rule, np.sort(s)[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = threshold_for_unfolding(m, n, rule, shuffled)
+    assert float(got).hex() == float(want).hex() == float(_parent_formula(m, n, rule, s)).hex()
+
+
+def test_threshold_two_value_median_overflow_is_quiet_inf():
+    for s in ([1.7e308, 1.6e308], [1.6e308, 1.7e308]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert threshold_for_unfolding(2, 40, MedianBased(), s) == math.inf
+            assert svht._cutoff(2, 40, MedianBased(), np.sort(s)[::-1]) == math.inf
+
+
+def test_threshold_rejects_a_nan_spectrum():
+    for rule in (MedianBased(), KnownSigma(1.0)):
+        with pytest.raises(ValueError, match="^spectrum has NaN entries$"):
+            threshold_for_unfolding(3, 40, rule, [2.0, np.nan, 1.0])
+
+
 def test_threshold_rule_validation():
-    with pytest.raises(ValueError, match="needs the observed spectrum"):
+    with pytest.raises(ValueError, match="^median-based rule needs the observed spectrum$"):
         threshold_for_unfolding(3, 4, MedianBased())
-    with pytest.raises(ValueError, match="needs the observed spectrum"):
+    with pytest.raises(ValueError, match="^median-based rule needs the observed spectrum$"):
         threshold_for_unfolding(3, 4, MedianBased(), np.array([]))
     with pytest.raises(TypeError, match="unknown threshold rule"):
         threshold_for_unfolding(3, 4, "hard")
@@ -294,6 +337,19 @@ def test_threshold_rule_validation():
     for bad in (0.0, -2.0, float("inf")):
         with pytest.raises(ValueError, match="sigma must be"):
             KnownSigma(bad)
+
+
+def test_threshold_dimensions_must_be_integers():
+    # int() used to truncate: (10.5, 100.2) gave the cutoff of a 10 x 100 unfolding
+    s = np.array([3.0, 2.0, 1.0])
+    for m, n, name in [(10.5, 100, "m"), (10, 100.2, "n"), (10.0, 100, "m"), ("10", 100, "m")]:
+        for rule, spectrum in [(MedianBased(), s), (KnownSigma(1.0), None)]:
+            with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+                threshold_for_unfolding(m, n, rule, spectrum)
+    # numpy integers are integers
+    for rule in (MedianBased(), KnownSigma(1.0)):
+        assert threshold_for_unfolding(np.int64(10), np.uint16(100), rule, s) == (
+            threshold_for_unfolding(10, 100, rule, s))
 
 
 def test_hard_threshold_examples():

@@ -185,6 +185,27 @@ def test_bad_mode_rejected():
             unfold(t, bad)
 
 
+def test_non_integer_mode_or_extent_raises_type_error():
+    # int() used to truncate: unfold(t, 1.7) unfolded mode 1, and a
+    # (4.5, 4, 4) target shape folded to 4 x 4 x 4
+    t = np.arange(64.0).reshape(4, 4, 4)
+    for bad in (1.7, 1.0, "1"):
+        with pytest.raises(TypeError, match="mode must be an integer"):
+            unfold(t, bad)
+        with pytest.raises(TypeError, match="mode must be an integer"):
+            mode_product(t, np.eye(4), bad)
+        with pytest.raises(TypeError, match="mode must be an integer"):
+            fold(unfold(t, 1), bad, t.shape)
+    for shape in [(4.5, 4, 4), (4.0, 4, 4), (4, 4, np.float64(4))]:
+        with pytest.raises(TypeError, match="extent must be an integer"):
+            fold(unfold(t, 0), 0, shape)
+    # numpy integers are integers
+    m = unfold(t, np.int64(1))
+    np.testing.assert_array_equal(m, unfold(t, 1))
+    np.testing.assert_array_equal(fold(m, np.uint8(1), np.array([4, 4, 4])), t)
+    np.testing.assert_array_equal(mode_product(t, np.eye(4), np.int32(2)), t)
+
+
 def test_fold_rejects_wrong_geometry():
     with pytest.raises(ValueError, match="cannot fold"):
         fold(np.zeros((3, 7)), 0, (3, 2, 4))
