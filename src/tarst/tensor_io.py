@@ -8,20 +8,19 @@ token. Values are written with shortest round-trip precision (``repr``),
 one row of the trailing axis per line, so write followed by read is
 bit-exact.
 
-Reading streams the tokens of the data lines straight into one
-preallocated array and checks finiteness in one vectorized pass; no
-whole-file token list is built. Only when that fails does the reader walk
-the tokens one at a time, and only to name the first bad token and its
-1-based line, so errors and their line numbers do not depend on the fast
-path. Files are UTF-8; a byte that does not decode is a format error on
-the line that holds it. Writing joins the ``repr`` of the values of each
-row; the written bytes are the same as those of earlier versions of this
-module.
+Reading makes one pass over the tokens of the data lines; the values go
+into an array that grows only with the values read, whatever count the
+header declares. An error names a data token by its index, and only then
+are the lines walked again for its spelling and 1-based line. Files are
+UTF-8; a byte that does not decode is a format error on the line that
+holds it. Writing joins the ``repr`` of the values of each row; the
+written bytes are the same as those of earlier versions of this module.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, islice
 
 import numpy as np
@@ -37,17 +36,34 @@ class TensorFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _is_data(line_tokens) -> bool:
-    """True for the tokens of a line that is neither blank nor a comment."""
-    return bool(line_tokens) and not line_tokens[0].startswith("#")
+def _line_tokens(line):
+    """The tokens of ``line``; none if it is blank or a comment."""
+    toks = line.split()
+    return toks if toks and not toks[0].startswith("#") else []
 
 
-def _tokens(lines):
+def _error(lines, index, message) -> TensorFormatError:
+    """The error for data token ``index``; an index past the last is the end of the file."""
     for lineno, raw in enumerate(lines, start=1):
-        toks = raw.split()
-        if _is_data(toks):
-            for tok in toks:
-                yield lineno, tok
+        toks = _line_tokens(raw)
+        if index < len(toks):
+            return TensorFormatError(message.format(toks[index]), line=lineno)
+        index -= len(toks)
+    return TensorFormatError(message, line=len(lines))
+
+
+def _positive_int(lines, toks, index, name, expected) -> int:
+    """Parse data token ``index``, the next of ``toks``, as an integer >= 1."""
+    tok = next(toks, None)
+    if tok is None:
+        raise _error(lines, index, f"unexpected end of file, expected {expected}")
+    try:
+        value = int(tok)
+    except ValueError:
+        raise _error(lines, index, f"{name} must be an integer, got {{!r}}") from None
+    if value < 1:
+        raise _error(lines, index, f"{name} must be >= 1, got {value}")
+    return value
 
 
 def read_tensor(path) -> np.ndarray:
@@ -58,24 +74,32 @@ def read_tensor(path) -> np.ndarray:
     except UnicodeDecodeError:
         _raise_decode_error(path)
         raise
-    toks = chain.from_iterable(filter(_is_data, map(str.split, lines)))
+    toks = chain.from_iterable(map(_line_tokens, lines))
+    ndim = _positive_int(lines, toks, 0, "tensor order", "the tensor order N")
+    shape = [_positive_int(lines, toks, 1 + k, "extent", f"{ndim} extents")
+             for k in range(ndim)]
+    count = math.prod(shape)
     try:
-        ndim = int(next(toks))
-        shape = [int(tok) for tok in islice(toks, ndim)]
-        count = math.prod(shape)
-        # each value follows at least one whitespace character, so a count
-        # above half the file's length cannot be met: refuse it before
-        # allocating, however large the header claims the tensor is
-        if (ndim >= 1 and len(shape) == ndim and min(shape) >= 1
-                and 2 * count <= sum(map(len, lines))):
-            values = np.fromiter(map(float, islice(toks, count)), np.float64, count=count)
-            if np.isfinite(values).all() and next(toks, None) is None:
-                return values.reshape(shape)
-    except (StopIteration, ValueError):
-        pass
-    # the streamed parse failed: find the first offending token and its line
-    _raise_first_error(lines)
-    raise AssertionError("the streamed parse and the token walk disagree")
+        values = np.fromiter(map(float, islice(toks, min(count, sys.maxsize))), np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # the parse does not say which token failed: find the first bad value
+        rest = islice(chain.from_iterable(map(_line_tokens, lines)), 1 + ndim, None)
+        for index, tok in enumerate(rest, start=1 + ndim):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise _error(lines, index, "bad value {!r}") from None
+            if not math.isfinite(value):
+                raise _error(lines, index, "non-finite value {!r}")
+    if values.size < count:
+        raise _error(lines, 1 + ndim + values.size,
+                     f"unexpected end of file, expected {count} values (got {values.size})")
+    if next(toks, None) is not None:
+        raise _error(lines, 1 + ndim + count,
+                     f"trailing data {{!r}}: expected exactly {count} values")
+    return values.reshape(shape)
 
 
 def _raise_decode_error(path) -> None:
@@ -90,46 +114,6 @@ def _raise_decode_error(path) -> None:
         line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         raise TensorFormatError(
             f"not UTF-8 text: byte 0x{data[e.start]:02x} ({e.reason})", line=line) from None
-
-
-def _raise_first_error(lines) -> None:
-    """Walk the tokens one by one and raise for the first that breaks the format."""
-    toks = _tokens(lines)
-
-    def next_token(what):
-        try:
-            return next(toks)
-        except StopIteration:
-            raise TensorFormatError(f"unexpected end of file, expected {what}",
-                                    line=len(lines)) from None
-
-    def next_positive_int(what, name):
-        lineno, tok = next_token(what)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise TensorFormatError(f"{name} must be an integer, got {tok!r}",
-                                    line=lineno) from None
-        if value < 1:
-            raise TensorFormatError(f"{name} must be >= 1, got {value}", line=lineno)
-        return value
-
-    ndim = next_positive_int("the tensor order N", "tensor order")
-    shape = [next_positive_int(f"{ndim} extents", "extent") for _ in range(ndim)]
-
-    count = math.prod(shape)
-    for i in range(count):
-        lineno, tok = next_token(f"{count} values (got {i})")
-        try:
-            v = float(tok)
-        except ValueError:
-            raise TensorFormatError(f"bad value {tok!r}", line=lineno) from None
-        if not math.isfinite(v):
-            raise TensorFormatError(f"non-finite value {tok!r}", line=lineno)
-
-    for lineno, tok in toks:
-        raise TensorFormatError(
-            f"trailing data {tok!r}: expected exactly {count} values", line=lineno)
 
 
 def write_tensor(t, path) -> None:

@@ -1,6 +1,9 @@
 """Round-trip and error-reporting tests for the tensor text format."""
 
+import ast
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +204,12 @@ def _expect_exact(path, message, line):
     ("2.0\n2 2\n1 2 3 4\n", "tensor order must be an integer, got '2.0'", 1),
     ("-1\n", "tensor order must be >= 1, got -1", 1),
     ("2\n3 0\n", "extent must be >= 1, got 0", 2),
+    # the first value that is not a finite float wins, across lines too
+    ("1\n3\nnan\nx 2\n", "non-finite value 'nan'", 3),
+    ("1\n3\nx\nnan 2\n", "bad value 'x'", 3),
+    ("1\n99999999999999999999\n1 inf\n", "non-finite value 'inf'", 3),
+    ("1 3 1 2 x\n", "bad value 'x'", 1),
+    ("1\n2\n1e308 -1e309\n", "non-finite value '-1e309'", 3),
 ])
 def test_read_error_message_and_line(tmp_path, text, message, line):
     p = tmp_path / "bad.txt"
@@ -240,7 +249,13 @@ def test_read_rejects_huge_declared_count_before_allocating(tmp_path):
     # 1e11 values cannot fit in a 20-byte file: same error as any short file
     p = tmp_path / "huge.txt"
     p.write_text("2\n100000 1000000\n1 2 3\n")
-    _expect_exact(p, "unexpected end of file, expected 100000000000 values (got 3)", 3)
+    tracemalloc.start()
+    try:
+        _expect_exact(p, "unexpected end of file, expected 100000000000 values (got 3)", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     # a bad token before the end still wins, as in a short file
     p.write_text("1\n99999999999999999999\n1 x\n")
     _expect_exact(p, "bad value 'x'", 3)
@@ -271,7 +286,13 @@ def test_read_outcome_is_an_array_or_a_located_format_error(tmp_path_factory, te
     try:
         a = read_tensor(p)
     except TensorFormatError as e:
+        lines = open(p, encoding="utf-8").readlines()
         assert e.line is not None
-        assert 0 <= e.line <= len(open(p, encoding="utf-8").readlines())
+        assert 0 <= e.line <= len(lines)
+        # a token the message quotes is on the line the error names
+        quoted = re.fullmatch(r"line \d+: (?:.* got|bad value|non-finite value|trailing data)"
+                              r" ('.*'|\".*\")(?:: .*)?", str(e))
+        if quoted:
+            assert ast.literal_eval(quoted[1]) in lines[e.line - 1].split()
     else:
         assert a.dtype == np.float64 and a.size >= 1 and np.isfinite(a).all()
