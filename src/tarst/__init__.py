@@ -9,8 +9,8 @@ metrics, and a reproducible benchmark harness are included.
 
 from .bench import (METHODS, Pattern1Config, Pattern2Config, TrialRecord,
                     add_gaussian_noise, default_sigma_grid, derive_seed,
-                    gen_lowrank_tensor, inject_outliers, read_csv,
-                    run_pattern2, write_csv, write_matrix_file)
+                    gen_lowrank_tensor, inject_outliers, run_pattern2,
+                    write_csv, write_matrix_file)
 from .decomp import TarstReport, TuckerModel, hooi, hosvd, reconstruct, tarst
 from .linalg import svd
 from .metrics import SummaryStat, rrse, summarize
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
     "add_gaussian_noise", "default_sigma_grid", "derive_seed",
-    "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern2",
+    "gen_lowrank_tensor", "inject_outliers", "run_pattern2",
     "write_csv", "write_matrix_file",
     "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
     "svd",

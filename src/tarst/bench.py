@@ -43,7 +43,6 @@ __all__ = [
     "inject_outliers",
     "run_pattern2",
     "write_csv",
-    "read_csv",
     "write_matrix_file",
     "CSV_COLUMNS",
 ]
@@ -100,6 +99,8 @@ class Pattern1Config:
         """Store the sequences as tuples, fill in the default ranks, and
         check every field; a non-integer count raises TypeError."""
         shape = tuple(_as_int(i, "extent") for i in self.shape)
+        if len(shape) < 1 or any(i < 1 for i in shape):
+            raise ValueError(f"invalid shape {shape!r}")
         ranks = default_true_ranks(shape) if self.true_ranks is None else self.true_ranks
         fields = {"shape": shape, "true_ranks": tuple(_as_int(r, "rank") for r in ranks),
                   "methods": tuple(self.methods), "reps": _as_int(self.reps, "reps"),
@@ -108,8 +109,6 @@ class Pattern1Config:
             fields[name] = tuple(float(v) for v in getattr(self, name))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        if len(shape) < 1 or any(i < 1 for i in shape):
-            raise ValueError(f"invalid shape {shape!r}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}; choose from {METHODS}")
@@ -276,8 +275,8 @@ def _fmt(v) -> str:
 
 
 def write_csv(records, path) -> None:
-    """Write records in grid order; str(float) keeps full precision so a
-    parse-back reproduces every numeric field exactly."""
+    """Write records in grid order; repr(float) keeps full precision, so
+    float() of each numeric cell gives the value back exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
@@ -297,40 +296,6 @@ def write_csv(records, path) -> None:
             ])
 
 
-def read_csv(path):
-    """Parse a benchmark CSV back into TrialRecords."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header in {path}: {header!r}")
-        for row in reader:
-            (method, n, dims, sigma, ratio, scale, seed, err, ranks, wall, calls) = row
-            shape = tuple(int(d) for d in dims.split("x"))
-            if len(shape) != int(n):
-                raise ValueError(f"row claims N={n} but dims={dims!r}")
-            records.append(TrialRecord(
-                method=method,
-                shape=shape,
-                sigma=float(sigma),
-                outlier_ratio=float(ratio) if ratio else None,
-                outlier_scale=float(scale) if scale else None,
-                seed=int(seed),
-                rrse=float(err),
-                estimated_ranks=tuple(int(x) for x in ranks.split(";")) if ranks else None,
-                wall_time_ms=float(wall),
-                svd_calls=int(calls),
-            ))
-    return records
-
-
-def _condition_label(rec: TrialRecord) -> str:
-    if rec.outlier_ratio is None:
-        return rec.method
-    return f"{rec.method}:r{rec.outlier_ratio:g}:s{rec.outlier_scale:g}"
-
-
 def mean_rrse_by_cell(records):
     """{(method, sigma, ratio, scale): mean rrse} over reps."""
     cells = {}
@@ -345,14 +310,14 @@ def write_matrix_file(records, path) -> None:
     """gnuplot-friendly matrix: first row the sigma grid, first column the
     condition labels (method, plus ratio/scale for outlier runs), cells the
     mean rrse over reps."""
-    sigmas = sorted({r.sigma for r in records})
     means = mean_rrse_by_cell(records)
-    by_label = {}  # labels in order of first appearance
-    for r in records:
-        key = (r.method, r.sigma, r.outlier_ratio, r.outlier_scale)
-        by_label.setdefault(_condition_label(r), {})[r.sigma] = means[key]
+    sigmas = sorted({sigma for _, sigma, _, _ in means})
+    rows = {}  # labels in order of first appearance
+    for (method, sigma, ratio, scale), mean in means.items():
+        label = method if ratio is None else f"{method}:r{ratio:g}:s{scale:g}"
+        rows.setdefault(label, {})[sigma] = mean
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("condition " + " ".join(repr(s) for s in sigmas) + "\n")
-        for lbl, row in by_label.items():
+        for label, row in rows.items():
             cells = " ".join(repr(row[s]) if s in row else "nan" for s in sigmas)
-            fh.write(f"{lbl} {cells}\n")
+            fh.write(f"{label} {cells}\n")

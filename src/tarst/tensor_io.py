@@ -99,7 +99,10 @@ def read_tensor(path) -> np.ndarray:
     if next(toks, None) is not None:
         raise _error(lines, 1 + ndim + count,
                      f"trailing data {{!r}}: expected exactly {count} values")
-    return values.reshape(shape)
+    try:
+        return values.reshape(shape)
+    except ValueError as e:  # numpy caps the order: 64 modes on numpy 2, 32 before
+        raise _error(lines, 0, f"tensor order {ndim} is more modes than numpy allows") from e
 
 
 def _raise_decode_error(path) -> None:

@@ -1,8 +1,13 @@
-"""Shared hypothesis strategies plus the acceptance-report summary hook."""
+"""Shared hypothesis strategies, the benchmark-CSV parser the tests read
+records back with, and the acceptance-report summary hook."""
+
+import csv
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from tarst.bench import CSV_COLUMNS, TrialRecord
 
 # the acceptance tests append one verdict line each; echoing them after the
 # run keeps the report visible even though pytest captures test stdout
@@ -52,3 +57,28 @@ def tensor_two_modes_two_factors(draw, max_dims=4, max_side=4):
 
 def rng_tensor(rng, shape, scale=1.0):
     return scale * rng.standard_normal(shape)
+
+
+def read_records(path):
+    """Parse a benchmark CSV back into TrialRecords with the stdlib reader;
+    asserts the header and that each row's N matches its dims."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        assert tuple(next(rows)) == CSV_COLUMNS
+        records = []
+        for method, n, dims, sigma, ratio, scale, seed, err, ranks, wall, calls in rows:
+            shape = tuple(int(d) for d in dims.split("x"))
+            assert int(n) == len(shape), (n, dims)
+            records.append(TrialRecord(
+                method=method,
+                shape=shape,
+                sigma=float(sigma),
+                outlier_ratio=float(ratio) if ratio else None,
+                outlier_scale=float(scale) if scale else None,
+                seed=int(seed),
+                rrse=float(err),
+                estimated_ranks=tuple(int(x) for x in ranks.split(";")) if ranks else None,
+                wall_time_ms=float(wall),
+                svd_calls=int(calls),
+            ))
+    return records

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_VERDICTS
+from conftest import ACCEPTANCE_VERDICTS, read_records
 from scipy.optimize import brentq
 
 from tarst.bench import (
@@ -23,7 +23,6 @@ from tarst.bench import (
     default_sigma_grid,
     gen_lowrank_tensor,
     mean_rrse_by_cell,
-    read_csv,
     run_pattern2,
     write_csv,
 )
@@ -313,7 +312,7 @@ def _suite_csv_determinism(rng, tmp_path):
         write_csv(recs, pa)
         write_csv(recs, pb)
         assert pa.read_bytes() == pb.read_bytes()
-        assert read_csv(pa) == recs
+        assert read_records(pa) == recs
     return 200
 
 

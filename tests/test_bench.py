@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import read_records
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from tarst.bench import (
     gen_lowrank_tensor,
     inject_outliers,
     mean_rrse_by_cell,
-    read_csv,
     run_pattern2,
     write_csv,
     write_matrix_file,
@@ -281,6 +281,12 @@ def test_pattern1_config_validation():
         Pattern1Config(outlier_ratios=(0.1,))
     with pytest.raises(ValueError, match="empty together"):
         Pattern1Config(outlier_scales=(10.0,))
+    # the shape is checked before the default ranks are derived from it
+    for cls in (Pattern1Config, Pattern2Config):
+        with pytest.raises(ValueError, match=r"^invalid shape \(\)$"):
+            cls(shape=())
+        with pytest.raises(ValueError, match=r"^invalid shape \(4, 0, 4\)$"):
+            cls(shape=(4, 0, 4))
 
 
 def test_config_reps_and_seed_must_be_integers():
@@ -535,23 +541,7 @@ def test_csv_round_trip_hand_records(tmp_path):
     p = tmp_path / "rt.csv"
     recs = _sample_records()
     write_csv(recs, p)
-    parsed = read_csv(p)
-    assert parsed == recs
-
-
-def test_csv_header_mismatch_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("method,sigma\nTARST,1.0\n")
-    with pytest.raises(ValueError, match="header"):
-        read_csv(p)
-
-
-def test_csv_dims_count_mismatch_rejected(tmp_path):
-    p = tmp_path / "bad2.csv"
-    row = "TARST,2,10x10x10,1.0,,,0,0.5,3;3;3,1.0,3"
-    p.write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n")
-    with pytest.raises(ValueError, match="N=2"):
-        read_csv(p)
+    assert read_records(p) == recs
 
 
 record_strategy = st.builds(
@@ -581,7 +571,7 @@ def test_csv_writer_deterministic_and_parse_back_exact(tmp_path, records):
     write_csv(records, pb)
     assert pa.read_bytes() == pb.read_bytes()
     # repr() floats round trip exactly, so whole-record equality holds
-    assert read_csv(pa) == records
+    assert read_records(pa) == records
 
 
 def test_pipeline_csv_rerun_identical_modulo_wall_time(tmp_path):

@@ -4,8 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import read_records
 
-from tarst.bench import read_csv
 from tarst.cli import main
 from tarst.tensor_io import read_tensor, write_tensor
 
@@ -75,6 +75,15 @@ def test_denoise_huge_declared_shape_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == (
         "parse error: line 3: unexpected end of file, "
         "expected 100000000000 values (got 3)")
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_denoise_too_many_modes_exits_2(tmp_path, capsys):
+    src = tmp_path / "modes.txt"
+    src.write_text("65\n" + "1 " * 65 + "\n5\n")
+    assert main(["denoise", str(src), str(tmp_path / "o.txt")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "parse error: line 1: tensor order 65 is more modes than numpy allows")
     assert not (tmp_path / "o.txt").exists()
 
 
@@ -170,6 +179,8 @@ def test_usage_errors(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["thresholds", "--beta", "1", "--bogus"]) == 1
     capsys.readouterr()  # drain
+    assert main(["bench-p1", "--shape", "6,x,6"]) == 1
+    assert "expected comma-separated integers, got '6,x,6'" in capsys.readouterr().err
 
 
 def test_bench_p1_tiny_run(tmp_path, capsys):
@@ -177,7 +188,7 @@ def test_bench_p1_tiny_run(tmp_path, capsys):
     code = main(["bench-p1", "--out", str(out), "--shape", "6,6,6",
                  "--ranks", "2,2,2", "--reps", "1", "--seed", "1"])
     assert code == 0
-    records = read_csv(out)
+    records = read_records(out)
     # 20 sigma points x 1 rep x 4 methods
     assert len(records) == 80
     assert f"wrote 80 records to {out}" in capsys.readouterr().out
@@ -208,7 +219,7 @@ def test_bench_p2_tiny_run_with_method_subset(tmp_path, capsys):
                  "--shape", "6,6,6", "--ranks", "2,2,2", "--reps", "1",
                  "--methods", "Baseline,TARST"])
     assert code == 0
-    records = read_csv(out)
+    records = read_records(out)
     # 20 sigma x 5 ratios x 4 scales x 1 rep x 2 methods
     assert len(records) == 20 * 5 * 4 * 1 * 2
     assert {r.method for r in records} == {"Baseline", "TARST"}

@@ -63,7 +63,7 @@ PUBLIC = {
     "tarst": [
         "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
         "add_gaussian_noise", "default_sigma_grid", "derive_seed",
-        "gen_lowrank_tensor", "inject_outliers", "read_csv", "run_pattern2",
+        "gen_lowrank_tensor", "inject_outliers", "run_pattern2",
         "write_csv", "write_matrix_file",
         "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
         "svd",
@@ -78,7 +78,7 @@ PUBLIC = {
         "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
         "default_sigma_grid", "derive_seed", "gen_lowrank_tensor",
         "add_gaussian_noise", "inject_outliers", "run_pattern2",
-        "write_csv", "read_csv", "write_matrix_file", "CSV_COLUMNS",
+        "write_csv", "write_matrix_file", "CSV_COLUMNS",
     ],
     "tarst.cli": None,
     "tarst.decomp": ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"],

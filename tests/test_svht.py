@@ -173,6 +173,15 @@ def test_mp_cdf_reads_one_at_upper_edge(beta):
     assert mp_cdf(0.5 * (lo + hi), beta) < mp_cdf(np.nextafter(hi, 0.0), beta)
 
 
+@pytest.mark.parametrize("beta", [1e-6, 0.25, 1.0])
+def test_mp_cdf_outside_its_support(beta):
+    lo, hi = (1.0 - math.sqrt(beta)) ** 2, (1.0 + math.sqrt(beta)) ** 2
+    for x in (-1.0, np.nextafter(lo, -math.inf)):
+        assert mp_cdf(x, beta) == 0.0
+    for x in (np.nextafter(hi, math.inf), 2.0 * hi, 1e300):
+        assert mp_cdf(x, beta) == 1.0
+
+
 def test_mp_cdf_square_case_against_arctan_form():
     for x in np.linspace(0.0, 4.0, 101):
         assert mp_cdf(x, 1.0) == pytest.approx(mp_cdf_arctan(x), abs=1e-15)

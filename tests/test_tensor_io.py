@@ -210,6 +210,8 @@ def _expect_exact(path, message, line):
     ("1\n99999999999999999999\n1 inf\n", "non-finite value 'inf'", 3),
     ("1 3 1 2 x\n", "bad value 'x'", 1),
     ("1\n2\n1e308 -1e309\n", "non-finite value '-1e309'", 3),
+    # well formed, but more modes than any numpy allows (64 on numpy 2, 32 before)
+    ("# c\n65\n" + "1 " * 65 + "\n5\n", "tensor order 65 is more modes than numpy allows", 2),
 ])
 def test_read_error_message_and_line(tmp_path, text, message, line):
     p = tmp_path / "bad.txt"
