@@ -296,14 +296,19 @@ def write_csv(records, path) -> None:
             ])
 
 
-def mean_rrse_by_cell(records):
-    """{(method, sigma, ratio, scale): mean rrse} over reps."""
+def _rrse_by_cell(records):
+    """{(method, sigma, ratio, scale): [rrse per rep]}, in order of first appearance."""
     cells = {}
     for r in records:
         cells.setdefault((r.method, r.sigma, r.outlier_ratio, r.outlier_scale),
                          []).append(r.rrse)
+    return cells
+
+
+def mean_rrse_by_cell(records):
+    """{(method, sigma, ratio, scale): mean rrse} over reps."""
     return {key: float(np.asarray(vals, dtype=np.float64).mean())
-            for key, vals in cells.items()}
+            for key, vals in _rrse_by_cell(records).items()}
 
 
 def write_matrix_file(records, path) -> None:

@@ -105,22 +105,17 @@ def cmd_thresholds(ns) -> int:
 
 
 def _summary_table(records) -> str:
-    means = {}
-    for r in records:
-        means.setdefault((r.sigma, r.outlier_ratio, r.outlier_scale), {}) \
-             .setdefault(r.method, []).append(r.rrse)
+    rrses = bench._rrse_by_cell(records)
     lines = []
-    for cell in sorted(means, key=lambda c: (c[0], c[1] or 0, c[2] or 0)):
-        (sigma, ratio, scale), per_method = cell, means[cell]
+    for cell in sorted(dict.fromkeys(key[1:] for key in rrses),
+                       key=lambda c: (c[0], c[1] or 0, c[2] or 0)):
+        sigma, ratio, scale = cell
         cond = f"sigma={sigma:<8.4g}"
         if ratio is not None:
             cond += f" ratio={ratio:<5.2g} scale={scale:<6.4g}"
-        cells = []
-        for method in bench.METHODS:
-            if method in per_method:
-                s = summarize(per_method[method])
-                cells.append(f"{method} {s.mean:.4g} [{s.ci95_low:.4g},{s.ci95_high:.4g}]")
-        lines.append(cond + "  " + "  ".join(cells))
+        stats = [(m, summarize(rrses[(m, *cell)])) for m in bench.METHODS if (m, *cell) in rrses]
+        lines.append(cond + "  " + "  ".join(
+            f"{m} {s.mean:.4g} [{s.ci95_low:.4g},{s.ci95_high:.4g}]" for m, s in stats))
     return "\n".join(lines)
 
 

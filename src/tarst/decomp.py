@@ -29,7 +29,8 @@ import numpy as np
 
 from .linalg import svd
 from .svht import KnownSigma, MedianBased, ThresholdRule, _cutoff
-from .tensor_ops import _as_int, _mode_product, _unfolding, frobenius_norm, multi_mode_product
+from .tensor_ops import (_as_float_array, _as_int, _mode_product, _unfolding, frobenius_norm,
+                         multi_mode_product)
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
 
@@ -77,9 +78,7 @@ class TarstReport:
 
 
 def _validated(y) -> np.ndarray:
-    a = np.asarray(y, dtype=np.float64)
-    if a.ndim < 1:
-        raise ValueError("input must have at least one mode")
+    a = _as_float_array(y)
     if not np.isfinite(a).all():
         raise ValueError("input tensor has non-finite entries")
     return a
@@ -96,15 +95,9 @@ def _check_ranks(shape, ranks):
 
 
 def reconstruct(model: TuckerModel) -> np.ndarray:
-    """Expand a Tucker model back to a full tensor, in C order."""
-    core = np.asarray(model.core, dtype=np.float64)
-    if core.ndim != len(model.factors):
-        raise ValueError(f"core has {core.ndim} modes but {len(model.factors)} factors")
-    for k, u in enumerate(model.factors):
-        if u.shape[1] != core.shape[k]:
-            raise ValueError(
-                f"factor {k} has {u.shape[1]} columns, core extent is {core.shape[k]}")
-    return multi_mode_product(core, model.factors)
+    """Expand a Tucker model back to a full tensor, in C order; a core and
+    factors that do not fit raise :func:`multi_mode_product`'s errors."""
+    return multi_mode_product(model.core, model.factors)
 
 
 def _truncated_tucker(a, rank_of) -> TuckerModel:

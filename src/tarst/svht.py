@@ -160,8 +160,7 @@ def mp_median(beta: float) -> float:
 
 def omega(beta: float) -> float:
     """Median-based threshold multiplier lambda*(beta) / sqrt(mp_median(beta))."""
-    b = _check_beta(beta)
-    return lambda_star(b) / math.sqrt(mp_median(b))
+    return lambda_star(beta) / math.sqrt(mp_median(float(beta)))  # a hashable cache key
 
 
 def _cutoff(m: int, n: int, rule: ThresholdRule, s) -> float:

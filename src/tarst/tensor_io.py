@@ -13,8 +13,7 @@ into an array that grows only with the values read, whatever count the
 header declares. An error names a data token by its index, and only then
 are the lines walked again for its spelling and 1-based line. Files are
 UTF-8; a byte that does not decode is a format error on the line that
-holds it. Writing joins the ``repr`` of the values of each row; the
-written bytes are the same as those of earlier versions of this module.
+holds it. Writing joins the ``repr`` of the values of each row.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ import sys
 from itertools import chain, islice
 
 import numpy as np
+
+from .tensor_ops import _as_float_array
 
 __all__ = ["TensorFormatError", "read_tensor", "write_tensor"]
 
@@ -121,9 +122,7 @@ def _raise_decode_error(path) -> None:
 
 def write_tensor(t, path) -> None:
     """Write ``t`` to ``path`` in the text format (C-order values)."""
-    a = np.asarray(t, dtype=np.float64)
-    if a.ndim < 1:
-        raise ValueError("tensor must have at least one mode")
+    a = _as_float_array(t)
     if a.size == 0:
         raise ValueError(f"tensor extents must be >= 1, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

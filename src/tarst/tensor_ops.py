@@ -77,11 +77,9 @@ def _unfolding(a: np.ndarray, mode: int) -> np.ndarray:
 
 def _mode_product(a: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     """:func:`mode_product` of a validated array and a fitting float64 matrix."""
-    shape = a.shape
-    rest = shape[:mode] + shape[mode + 1:]
-    to_front, back = _axes(a.ndim, mode)
-    m = a.transpose(to_front).reshape(shape[mode], math.prod(rest))
-    return np.dot(u, m).reshape((u.shape[0],) + rest).transpose(back)
+    rest = a.shape[:mode] + a.shape[mode + 1:]
+    out = np.dot(u, _unfolding(a, mode))
+    return out.reshape((u.shape[0],) + rest).transpose(_axes(a.ndim, mode)[1])
 
 
 def _as_factor(u, extent: int, mode: int) -> np.ndarray:

@@ -243,7 +243,7 @@ BOUNDARY = [
     (lambda: mode_product(_Z, np.zeros(3), 0), ValueError, "factor must be a matrix"),
     (lambda: mode_product(_Z, np.zeros((4, 3)), 0), ValueError,
      "factor with 3 columns cannot contract mode 0 of extent 2"),
-    (lambda: hosvd(5.0, ()), ValueError, "input must have at least one mode"),
+    (lambda: hosvd(5.0, ()), ValueError, "tensor must have at least one mode"),
     (lambda: hosvd([[np.nan]], (1, 1)), ValueError, "input tensor has non-finite entries"),
     (lambda: hosvd(_Z, (1,)), ValueError, "expected 2 ranks, got 1"),
     (lambda: hosvd(_Z, (3, 1)), ValueError, "rank 3 out of range [1, 2] for mode 0"),
@@ -252,15 +252,17 @@ BOUNDARY = [
     (lambda: hooi(_Z, (3, 1), tol=0), ValueError, "rank 3 out of range [1, 2] for mode 0"),
     (lambda: hooi(_Z, (1, 1), tol=0), ValueError, "tol must be positive, got 0"),
     (lambda: hooi(_Z, (1, 1), max_iter=0), ValueError, "max_iter must be >= 1, got 0"),
-    (lambda: tarst(5.0, MedianBased()), ValueError, "input must have at least one mode"),
+    (lambda: tarst(5.0, MedianBased()), ValueError, "tensor must have at least one mode"),
     (lambda: tarst([[np.inf]], "median"), ValueError, "input tensor has non-finite entries"),
     (lambda: tarst(_Z, "median"), TypeError,
      "rule must be KnownSigma or MedianBased, got 'median'"),
     (lambda: reconstruct(TuckerModel(core=np.zeros((2, 2)), factors=[np.eye(2)])),
-     ValueError, "core has 2 modes but 1 factors"),
+     ValueError, "expected 2 factors, got 1"),
     (lambda: reconstruct(TuckerModel(core=np.zeros((2, 2)),
                                      factors=[np.eye(2), np.zeros((3, 3))])),
-     ValueError, "factor 1 has 3 columns, core extent is 2"),
+     ValueError, "factor with 3 columns cannot contract mode 1 of extent 2"),
+    (lambda: reconstruct(TuckerModel(core=np.zeros(2), factors=[np.zeros(2)])),
+     ValueError, "factor must be a matrix"),
 ]
 
 

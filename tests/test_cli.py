@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from conftest import read_records
 
+from tarst.bench import METHODS
 from tarst.cli import main
+from tarst.metrics import summarize
 from tarst.tensor_io import read_tensor, write_tensor
 
 
@@ -226,6 +229,31 @@ def test_bench_p2_tiny_run_with_method_subset(tmp_path, capsys):
     assert all(r.outlier_ratio is not None for r in records)
     assert mat.read_text().startswith("condition ")
     capsys.readouterr()
+
+
+def test_bench_p2_summary_table_lines(tmp_path, capsys):
+    # methods given out of METHODS order; reps 2 gives each cell an interval
+    out = tmp_path / "p2.csv"
+    assert main(["bench-p2", "--out", str(out), "--shape", "5,6,4", "--ranks", "2,2,2",
+                 "--reps", "2", "--seed", "4", "--methods", "TARST,Baseline"]) == 0
+    *table, wrote = capsys.readouterr().out.splitlines()
+    records = read_records(out)
+    assert wrote == f"wrote {len(records)} records to {out}"
+    rrses = {}
+    for r in records:
+        rrses.setdefault((r.sigma, r.outlier_ratio, r.outlier_scale), {}) \
+             .setdefault(r.method, []).append(r.rrse)
+    cells = sorted(rrses)
+    assert len(table) == len(cells) == 20 * 5 * 4
+    for line, cell in zip(table, cells):
+        sigma, ratio, scale = cell
+        head = re.match(r"sigma=(\S+) +ratio=(\S+) +scale=(\S+)  ", line)
+        assert head.groups() == (f"{sigma:.4g}", f"{ratio:.2g}", f"{scale:.4g}")
+        got = re.findall(r"  (\w+) (\S+) \[([^,]+),(\S+)\]", line[head.end() - 2:])
+        assert [m for m, *_ in got] == [m for m in METHODS if m in ("TARST", "Baseline")]
+        for method, mean, lo, hi in got:
+            s = summarize(rrses[cell][method])
+            assert (mean, lo, hi) == (f"{s.mean:.4g}", f"{s.ci95_low:.4g}", f"{s.ci95_high:.4g}")
 
 
 def test_bench_rejects_unknown_method(capsys):

@@ -7,11 +7,18 @@ wide unfoldings) and with plain LAPACK. The ranks must agree exactly; the
 thresholds and estimates within 1e-10 relative, the agreement of the two
 paths at the Gram conditioning gate. A kernel change that keeps this test
 green changes no rank decision on the acceptance data.
+
+A property adds the symmetries of the rank decision on small random
+tensors: permuting the modes permutes the ranks, and reversing the index
+order within a mode changes none, whenever no singular value lies within
+1e-8 relative of its mode's cutoff.
 """
 
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tarst import decomp
 from tarst.bench import (
@@ -28,8 +35,10 @@ from tarst.bench import (
     run_pattern2,
 )
 from tarst.decomp import reconstruct, tarst
+from tarst.linalg import svd
 from tarst.metrics import rrse
-from tarst.svht import KnownSigma, MedianBased
+from tarst.svht import KnownSigma, MedianBased, _cutoff
+from tarst.tensor_ops import unfold
 
 RTOL = 1e-10
 _CUBE = dict(shape=(10, 10, 10), true_mean=10.0, true_std=2.0, true_ranks=(3, 3, 3),
@@ -87,3 +96,42 @@ def test_ranks_do_not_depend_on_the_svd_kernel(monkeypatch):
         assert [r.rrse for r in head] == median_rrse[:len(head)]
     assert count == 2200
     assert mismatches == []
+
+
+def _min_margin(y, rule):
+    """min over modes and singular values of |s_i / tau - 1|, tau the mode's cutoff."""
+    margins = []
+    for k in range(y.ndim):
+        m = unfold(y, k)
+        s = svd(m)[1]
+        margins.append(np.min(np.abs(s / _cutoff(m.shape[0], m.shape[1], rule, s) - 1)))
+    return min(margins)
+
+
+@st.composite
+def _noisy_tucker(draw):
+    """A 1- to 4-way tensor of extents 1..6: a few rank-1 terms of drawn
+    strength plus Gaussian noise of level sigma."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = draw(st.sampled_from((0.01, 0.1, 1.0)))
+    y = sigma * rng.standard_normal(shape)
+    for _ in range(draw(st.integers(0, 3))):
+        term = draw(st.floats(0.1, 20.0))
+        for i in shape:
+            term = np.multiply.outer(term, rng.standard_normal(i))
+        y += term
+    return y, sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(_noisy_tucker(), st.data())
+def test_ranks_permute_with_the_modes_and_ignore_index_order(case, data):
+    y, sigma = case
+    perm = data.draw(st.permutations(range(y.ndim)))
+    for rule in (KnownSigma(sigma), MedianBased()):
+        assume(_min_margin(y, rule) > 1e-8)
+        ranks = tarst(y, rule).estimated_ranks
+        assert tarst(y.transpose(perm), rule).estimated_ranks == tuple(ranks[j] for j in perm)
+        for k in range(y.ndim):
+            assert tarst(np.flip(y, axis=k), rule).estimated_ranks == ranks

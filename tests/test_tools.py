@@ -1,9 +1,12 @@
-"""The source line counter: every line of the package is counted once."""
+"""The source line counter: every line of the package is counted once, and
+the public names are those of ``tarst.__all__``."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import tarst
 
 ROOT = Path(__file__).resolve().parent.parent
 LOC = ROOT / "tools" / "loc.py"
@@ -19,7 +22,9 @@ def _loc_module():
 def test_loc_counts_sum_to_each_files_line_count():
     out = subprocess.run([sys.executable, str(LOC)], capture_output=True, text=True,
                          check=True).stdout
-    header, *rows = (line.split() for line in out.splitlines())
+    *table, names = out.splitlines()
+    assert names == f"public names: {len(tarst.__all__)}"
+    header, *rows = (line.split() for line in table)
     assert header == ["file", "code", "docstring", "blank", "comment", "lines"]
     files = sorted((ROOT / "src" / "tarst").glob("*.py"))
     lines = [len(p.read_text(encoding="utf-8").splitlines()) for p in files]

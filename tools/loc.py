@@ -10,6 +10,9 @@ that add up to each file's line count:
 * blank: other lines that hold only whitespace;
 * comment: other lines whose first non-blank character is ``#``;
 * code: every other line.
+
+A last line gives the number of public names, the length of ``tarst.__all__``,
+read from ``__init__.py`` with ``ast`` without importing the package.
 """
 
 import ast
@@ -44,6 +47,14 @@ def count(path) -> dict:
     return counts
 
 
+def public_names() -> int:
+    """len(__all__) as assigned in the package's ``__init__.py``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return next(len(ast.literal_eval(node.value)) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+
+
 def main() -> None:
     rows = {path.name: count(path) for path in sorted(PACKAGE.glob("*.py"))}
     rows["total"] = {kind: sum(row[kind] for row in rows.values()) for kind in KINDS}
@@ -51,6 +62,7 @@ def main() -> None:
     for name, row in rows.items():
         print(f"{name:<14}" + "".join(f"{row[kind]:>10}" for kind in KINDS)
               + f"{sum(row.values()):>10}")
+    print(f"public names: {public_names()}")
 
 
 if __name__ == "__main__":
