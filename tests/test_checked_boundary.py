@@ -230,7 +230,9 @@ def test_hosvd_and_hooi_raise_near_float_max_without_warnings():
 
 _Z = np.zeros((2, 3))
 
-# every public entry point with its exact exception and message
+# every public entry point with its exact exception and message; the cases
+# given an id name the fault in their input, since their message is spelled
+# by the shared check in tensor_ops that raises it
 BOUNDARY = [
     (lambda: svd(np.zeros(3)), ValueError, "svd expects a matrix, got 1 dimensions"),
     (lambda: svd(np.zeros((2, 2, 2))), ValueError, "svd expects a matrix, got 3 dimensions"),
@@ -243,7 +245,8 @@ BOUNDARY = [
     (lambda: mode_product(_Z, np.zeros(3), 0), ValueError, "factor must be a matrix"),
     (lambda: mode_product(_Z, np.zeros((4, 3)), 0), ValueError,
      "factor with 3 columns cannot contract mode 0 of extent 2"),
-    (lambda: hosvd(5.0, ()), ValueError, "tensor must have at least one mode"),
+    pytest.param(lambda: hosvd(5.0, ()), ValueError, "tensor must have at least one mode",
+                 id="<lambda>-ValueError-input must have at least one mode (hosvd)"),
     (lambda: hosvd([[np.nan]], (1, 1)), ValueError, "input tensor has non-finite entries"),
     (lambda: hosvd(_Z, (1,)), ValueError, "expected 2 ranks, got 1"),
     (lambda: hosvd(_Z, (3, 1)), ValueError, "rank 3 out of range [1, 2] for mode 0"),
@@ -252,15 +255,19 @@ BOUNDARY = [
     (lambda: hooi(_Z, (3, 1), tol=0), ValueError, "rank 3 out of range [1, 2] for mode 0"),
     (lambda: hooi(_Z, (1, 1), tol=0), ValueError, "tol must be positive, got 0"),
     (lambda: hooi(_Z, (1, 1), max_iter=0), ValueError, "max_iter must be >= 1, got 0"),
-    (lambda: tarst(5.0, MedianBased()), ValueError, "tensor must have at least one mode"),
+    pytest.param(lambda: tarst(5.0, MedianBased()), ValueError,
+                 "tensor must have at least one mode",
+                 id="<lambda>-ValueError-input must have at least one mode (tarst)"),
     (lambda: tarst([[np.inf]], "median"), ValueError, "input tensor has non-finite entries"),
     (lambda: tarst(_Z, "median"), TypeError,
      "rule must be KnownSigma or MedianBased, got 'median'"),
-    (lambda: reconstruct(TuckerModel(core=np.zeros((2, 2)), factors=[np.eye(2)])),
-     ValueError, "expected 2 factors, got 1"),
-    (lambda: reconstruct(TuckerModel(core=np.zeros((2, 2)),
-                                     factors=[np.eye(2), np.zeros((3, 3))])),
-     ValueError, "factor with 3 columns cannot contract mode 1 of extent 2"),
+    pytest.param(lambda: reconstruct(TuckerModel(core=np.zeros((2, 2)), factors=[np.eye(2)])),
+                 ValueError, "expected 2 factors, got 1",
+                 id="<lambda>-ValueError-core has 2 modes but the model 1 factor"),
+    pytest.param(lambda: reconstruct(TuckerModel(core=np.zeros((2, 2)),
+                                                 factors=[np.eye(2), np.zeros((3, 3))])),
+                 ValueError, "factor with 3 columns cannot contract mode 1 of extent 2",
+                 id="<lambda>-ValueError-factor 1 has 3 columns against core extent 2"),
     (lambda: reconstruct(TuckerModel(core=np.zeros(2), factors=[np.zeros(2)])),
      ValueError, "factor must be a matrix"),
 ]
