@@ -5,35 +5,20 @@ singular values at a statistically calibrated cutoff (known-sigma or
 median-based), and reconstructs from the retained subspaces — one SVD per
 mode, no rank input, no iteration. HOSVD and HOOI baselines, error
 metrics, and a reproducible benchmark harness are included.
+
+The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from .bench import (METHODS, Pattern1Config, Pattern2Config, TrialRecord,
-                    add_gaussian_noise, default_sigma_grid, derive_seed,
-                    gen_lowrank_tensor, inject_outliers, run_pattern2,
-                    write_csv, write_matrix_file)
-from .decomp import TarstReport, TuckerModel, hooi, hosvd, reconstruct, tarst
-from .linalg import svd
-from .metrics import SummaryStat, rrse, summarize
-from .svht import (KnownSigma, MedianBased, ThresholdRule, hard_threshold,
-                   lambda_star, mp_median, omega, threshold_for_unfolding)
-from .tensor_io import TensorFormatError, read_tensor, write_tensor
-from .tensor_ops import (fold, frobenius_norm, mode_product, multi_mode_product,
-                         unfold)
+from . import bench, decomp, linalg, metrics, svht, tensor_io, tensor_ops
+from .bench import *
+from .decomp import *
+from .linalg import *
+from .metrics import *
+from .svht import *
+from .tensor_io import *
+from .tensor_ops import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
-    "add_gaussian_noise", "default_sigma_grid", "derive_seed",
-    "gen_lowrank_tensor", "inject_outliers", "run_pattern2",
-    "write_csv", "write_matrix_file",
-    "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
-    "svd",
-    "SummaryStat", "rrse", "summarize",
-    "KnownSigma", "MedianBased", "ThresholdRule", "hard_threshold",
-    "lambda_star", "mp_median", "omega", "threshold_for_unfolding",
-    "TensorFormatError", "read_tensor", "write_tensor",
-    "fold", "frobenius_norm", "mode_product", "multi_mode_product",
-    "unfold",
-    "__version__",
-]
+__all__ = [*bench.__all__, *decomp.__all__, *linalg.__all__, *metrics.__all__,
+           *svht.__all__, *tensor_io.__all__, *tensor_ops.__all__, "__version__"]

@@ -29,7 +29,7 @@ import numpy as np
 from .decomp import hooi, hosvd, reconstruct, tarst
 from .metrics import rrse
 from .svht import KnownSigma, MedianBased
-from .tensor_ops import _as_int, multi_mode_product
+from .tensor_ops import _as_int, _check_ranks, multi_mode_product
 
 __all__ = [
     "METHODS",
@@ -44,7 +44,6 @@ __all__ = [
     "run_pattern2",
     "write_csv",
     "write_matrix_file",
-    "CSV_COLUMNS",
 ]
 
 METHODS = ("Baseline", "HOSVD", "HOOI", "TARST")
@@ -102,7 +101,7 @@ class Pattern1Config:
         if len(shape) < 1 or any(i < 1 for i in shape):
             raise ValueError(f"invalid shape {shape!r}")
         ranks = default_true_ranks(shape) if self.true_ranks is None else self.true_ranks
-        fields = {"shape": shape, "true_ranks": tuple(_as_int(r, "rank") for r in ranks),
+        fields = {"shape": shape, "true_ranks": _check_ranks(shape, ranks),
                   "methods": tuple(self.methods), "reps": _as_int(self.reps, "reps"),
                   "seed": _as_int(self.seed, "seed")}
         for name in ("sigma_grid", "outlier_ratios", "outlier_scales"):
@@ -114,6 +113,8 @@ class Pattern1Config:
             raise ValueError(f"unknown methods {bad}; choose from {METHODS}")
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat, got {self.methods}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         grid = self.sigma_grid
@@ -124,9 +125,6 @@ class Pattern1Config:
         if not (math.isfinite(self.true_mean) and math.isfinite(self.true_std)
                 and self.true_std > 0):
             raise ValueError("true_mean must be finite and true_std positive")
-        ranks = self.true_ranks
-        if len(ranks) != len(shape) or any(not 1 <= r <= i for r, i in zip(ranks, shape)):
-            raise ValueError(f"true_ranks {ranks!r} invalid for shape {shape}")
         if (len(self.outlier_ratios) == 0) != (len(self.outlier_scales) == 0):
             raise ValueError("outlier_ratios and outlier_scales must be empty together")
         if any(not 0 < r <= 1 for r in self.outlier_ratios):
@@ -171,9 +169,7 @@ def gen_lowrank_tensor(shape, ranks, mean: float, std: float, seed: int) -> np.n
     ``mean`` only up to a fluctuation that shrinks with the tensor size.
     """
     shape = tuple(_as_int(i, "extent") for i in shape)
-    ranks = tuple(_as_int(r, "rank") for r in ranks)
-    if len(ranks) != len(shape) or any(not 1 <= r <= i for r, i in zip(ranks, shape)):
-        raise ValueError(f"ranks {ranks!r} out of range for shape {shape}")
+    ranks = _check_ranks(shape, ranks)
     if not (math.isfinite(mean) and math.isfinite(std) and std >= 0):
         raise ValueError("mean must be finite and std nonnegative")
     rng = np.random.default_rng(seed)

@@ -30,14 +30,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the documented contract is 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _int_tuple(text: str) -> tuple:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -50,9 +42,9 @@ def _method_tuple(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tarst", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="tarst", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command")
 
     p_den = sub.add_parser("denoise", help="denoise a tensor text file")
     p_den.add_argument("input", help="input tensor file")
@@ -84,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_denoise(ns) -> int:
-    y = read_tensor(ns.input)
     rule = KnownSigma(ns.sigma) if ns.sigma is not None else MedianBased()
-    report = tarst(y, rule)
+    report = tarst(read_tensor(ns.input), rule)
     for k, (tau, rank) in enumerate(zip(report.thresholds, report.estimated_ranks),
                                     start=1):
         print(f"mode {k}: tau={tau:.6g} rank={rank}")
@@ -135,8 +126,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as e:  # --help exits 0, usage errors exit 1
-        return int(e.code or 0)
+    except SystemExit as e:  # --help exits 0; argparse's usage errors exit 2, ours 1
+        return EXIT_USAGE if e.code == 2 else int(e.code or 0)
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

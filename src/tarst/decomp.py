@@ -29,8 +29,8 @@ import numpy as np
 
 from .linalg import svd
 from .svht import KnownSigma, MedianBased, ThresholdRule, _cutoff
-from .tensor_ops import (_as_float_array, _as_int, _mode_product, _unfolding, frobenius_norm,
-                         multi_mode_product)
+from .tensor_ops import (_as_float_array, _as_int, _check_ranks, _mode_product, _unfolding,
+                         frobenius_norm, multi_mode_product)
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
 
@@ -82,16 +82,6 @@ def _validated(y) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("input tensor has non-finite entries")
     return a
-
-
-def _check_ranks(shape, ranks):
-    ranks = tuple(_as_int(r, "rank") for r in ranks)
-    if len(ranks) != len(shape):
-        raise ValueError(f"expected {len(shape)} ranks, got {len(ranks)}")
-    for k, (r, i) in enumerate(zip(ranks, shape)):
-        if not 1 <= r <= i:
-            raise ValueError(f"rank {r} out of range [1, {i}] for mode {k}")
-    return ranks
 
 
 def reconstruct(model: TuckerModel) -> np.ndarray:

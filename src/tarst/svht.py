@@ -51,7 +51,6 @@ __all__ = [
     "MedianBased",
     "ThresholdRule",
     "lambda_star",
-    "mp_cdf",
     "mp_median",
     "omega",
     "threshold_for_unfolding",

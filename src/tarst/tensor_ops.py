@@ -53,6 +53,17 @@ def _as_int(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _check_ranks(shape, ranks) -> tuple:
+    """One integer rank per extent of ``shape``, each in [1, extent]."""
+    ranks = tuple(_as_int(r, "rank") for r in ranks)
+    if len(ranks) != len(shape):
+        raise ValueError(f"expected {len(shape)} ranks, got {len(ranks)}")
+    for k, (r, i) in enumerate(zip(ranks, shape)):
+        if not 1 <= r <= i:
+            raise ValueError(f"rank {r} out of range [1, {i}] for mode {k}")
+    return ranks
+
+
 def _check_mode(ndim: int, mode: int) -> int:
     mode = _as_int(mode, "mode")
     if not 0 <= mode < ndim:

@@ -126,11 +126,12 @@ def test_gen_matches_the_reference_formula_bit_for_bit(shape, ranks, mean, std):
 
 
 def test_gen_validation():
-    with pytest.raises(ValueError, match="out of range"):
+    # the rank messages are hosvd's: one rule, in tensor_ops._check_ranks
+    with pytest.raises(ValueError, match=r"^rank 5 out of range \[1, 4\] for mode 0$"):
         gen_lowrank_tensor((4, 4), (5, 2), 0.0, 1.0, seed=0)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^rank 0 out of range \[1, 4\] for mode 0$"):
         gen_lowrank_tensor((4, 4), (0, 2), 0.0, 1.0, seed=0)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="^expected 2 ranks, got 1$"):
         gen_lowrank_tensor((4, 4), (2,), 0.0, 1.0, seed=0)
     with pytest.raises(ValueError, match="std"):
         gen_lowrank_tensor((4, 4), (2, 2), 0.0, -1.0, seed=0)
@@ -261,15 +262,18 @@ def test_pattern1_config_validation():
         Pattern1Config(methods=("Baseline", "SVD"))
     with pytest.raises(ValueError, match="nonempty"):
         Pattern1Config(methods=())
+    # a repeated method would write each of its records twice
+    with pytest.raises(ValueError, match=r"^methods must not repeat, got \('TARST', 'TARST'\)$"):
+        Pattern1Config(methods=("TARST", "TARST"))
     with pytest.raises(ValueError, match="reps"):
         Pattern1Config(reps=0)
     with pytest.raises(ValueError, match="ascending"):
         Pattern1Config(sigma_grid=(1.0, 0.5))
     with pytest.raises(ValueError, match="positive"):
         Pattern1Config(sigma_grid=(-1.0, 1.0))
-    with pytest.raises(ValueError, match="true_ranks"):
+    with pytest.raises(ValueError, match=r"^rank 5 out of range \[1, 4\] for mode 0$"):
         Pattern1Config(shape=(4, 4, 4), true_ranks=(5, 3, 3))
-    with pytest.raises(ValueError, match="true_ranks"):
+    with pytest.raises(ValueError, match="^expected 3 ranks, got 2$"):
         Pattern1Config(true_ranks=(3, 3))
     with pytest.raises(ValueError, match="std"):
         Pattern1Config(true_std=0.0)

@@ -105,6 +105,14 @@ def test_denoise_missing_input_exits_4(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_denoise_checks_sigma_before_reading_input(tmp_path, capsys):
+    # a bad --sigma is a usage error even when the input cannot be read
+    assert main(["denoise", str(tmp_path / "nope.txt"), str(tmp_path / "o.txt"),
+                 "--sigma", "-1"]) == 1
+    assert capsys.readouterr().err == "error: sigma must be a positive real, got -1.0\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_denoise_pure_noise_warns_and_writes_zero(tmp_path, capsys):
     rng = np.random.default_rng(0)
     src, dst = tmp_path / "noise.txt", tmp_path / "out.txt"
@@ -259,3 +267,12 @@ def test_bench_p2_summary_table_lines(tmp_path, capsys):
 def test_bench_rejects_unknown_method(capsys):
     assert main(["bench-p1", "--methods", "Baseline,Oracle"]) == 1
     assert "unknown methods" in capsys.readouterr().err
+
+
+def test_bench_rejects_repeated_method(tmp_path, capsys):
+    out = tmp_path / "p1.csv"
+    assert main(["bench-p1", "--shape", "5,5,5", "--ranks", "2,2,2", "--reps", "2",
+                 "--methods", "TARST,TARST", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: methods must not repeat, got ('TARST', 'TARST')\n")
+    assert not out.exists()

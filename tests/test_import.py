@@ -62,30 +62,30 @@ def test_import_and_denoise_load_no_scipy():
 PUBLIC = {
     "tarst": [
         "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
-        "add_gaussian_noise", "default_sigma_grid", "derive_seed",
-        "gen_lowrank_tensor", "inject_outliers", "run_pattern2",
+        "default_sigma_grid", "derive_seed", "gen_lowrank_tensor",
+        "add_gaussian_noise", "inject_outliers", "run_pattern2",
         "write_csv", "write_matrix_file",
-        "TarstReport", "TuckerModel", "hooi", "hosvd", "reconstruct", "tarst",
+        "TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct",
         "svd",
         "SummaryStat", "rrse", "summarize",
-        "KnownSigma", "MedianBased", "ThresholdRule", "hard_threshold",
-        "lambda_star", "mp_median", "omega", "threshold_for_unfolding",
+        "KnownSigma", "MedianBased", "ThresholdRule", "lambda_star",
+        "mp_median", "omega", "threshold_for_unfolding", "hard_threshold",
         "TensorFormatError", "read_tensor", "write_tensor",
-        "fold", "frobenius_norm", "mode_product", "multi_mode_product", "unfold",
+        "unfold", "fold", "mode_product", "multi_mode_product", "frobenius_norm",
         "__version__",
     ],
     "tarst.bench": [
         "METHODS", "Pattern1Config", "Pattern2Config", "TrialRecord",
         "default_sigma_grid", "derive_seed", "gen_lowrank_tensor",
         "add_gaussian_noise", "inject_outliers", "run_pattern2",
-        "write_csv", "write_matrix_file", "CSV_COLUMNS",
+        "write_csv", "write_matrix_file",
     ],
     "tarst.cli": None,
     "tarst.decomp": ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"],
     "tarst.linalg": ["svd"],
     "tarst.metrics": ["SummaryStat", "rrse", "summarize"],
     "tarst.svht": [
-        "KnownSigma", "MedianBased", "ThresholdRule", "lambda_star", "mp_cdf",
+        "KnownSigma", "MedianBased", "ThresholdRule", "lambda_star",
         "mp_median", "omega", "threshold_for_unfolding", "hard_threshold",
     ],
     "tarst.tensor_io": ["TensorFormatError", "read_tensor", "write_tensor"],
@@ -102,6 +102,20 @@ def test_public_api_is_pinned(name):
     for attr in exported or ():
         assert hasattr(module, attr)
         assert attr == "__version__" or not attr.startswith("_")
+
+
+MODULES = ["bench", "decomp", "linalg", "metrics", "svht", "tensor_io", "tensor_ops"]
+
+
+def test_package_exports_exactly_the_module_lists():
+    # tarst.__all__ is derived from the module lists, so a name added to or
+    # dropped from a module's __all__ reaches the package without a second edit
+    tarst = importlib.import_module("tarst")
+    modules = [importlib.import_module(f"tarst.{name}") for name in MODULES]
+    assert tarst.__all__ == [*(n for m in modules for n in m.__all__), "__version__"]
+    for module in modules:
+        for attr in module.__all__:
+            assert getattr(tarst, attr) is getattr(module, attr)
 
 
 # the settable surface: dataclass fields and the decompositions' parameters

@@ -12,7 +12,8 @@ that add up to each file's line count:
 * code: every other line.
 
 A last line gives the number of public names, the length of ``tarst.__all__``,
-read from ``__init__.py`` with ``ast`` without importing the package.
+read with ``ast`` without importing the package: ``__init__.py`` joins the
+modules' ``__all__`` lists and adds ``__version__``.
 """
 
 import ast
@@ -47,12 +48,20 @@ def count(path) -> dict:
     return counts
 
 
-def public_names() -> int:
-    """len(__all__) as assigned in the package's ``__init__.py``."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return next(len(ast.literal_eval(node.value)) for node in tree.body
+def _all_node(module: str):
+    """The expression assigned to ``__all__`` in ``module``'s source file."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return next(node.value for node in tree.body
                 if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+
+
+def public_names() -> int:
+    """len(tarst.__all__): in ``__init__.py``'s list each ``*module.__all__``
+    counts the names of that module's literal ``__all__``, any other item one."""
+    return sum(len(ast.literal_eval(_all_node(item.value.value.id)))
+               if isinstance(item, ast.Starred) else 1
+               for item in _all_node("__init__").elts)
 
 
 def main() -> None:
