@@ -29,7 +29,7 @@ import numpy as np
 from .decomp import hooi, hosvd, reconstruct, tarst
 from .metrics import rrse
 from .svht import KnownSigma, MedianBased
-from .tensor_ops import _as_int, _check_ranks, multi_mode_product
+from .tensor_ops import _as_int, _check_ranks, _check_shape, multi_mode_product
 
 __all__ = [
     "METHODS",
@@ -97,9 +97,7 @@ class Pattern1Config:
     def __post_init__(self):
         """Store the sequences as tuples, fill in the default ranks, and
         check every field; a non-integer count raises TypeError."""
-        shape = tuple(_as_int(i, "extent") for i in self.shape)
-        if len(shape) < 1 or any(i < 1 for i in shape):
-            raise ValueError(f"invalid shape {shape!r}")
+        shape = _check_shape(self.shape)
         ranks = default_true_ranks(shape) if self.true_ranks is None else self.true_ranks
         fields = {"shape": shape, "true_ranks": _check_ranks(shape, ranks),
                   "methods": tuple(self.methods), "reps": _as_int(self.reps, "reps"),
@@ -168,7 +166,7 @@ def gen_lowrank_tensor(shape, ranks, mean: float, std: float, seed: int) -> np.n
     raise the rank of the mean-free case), so the sample mean matches
     ``mean`` only up to a fluctuation that shrinks with the tensor size.
     """
-    shape = tuple(_as_int(i, "extent") for i in shape)
+    shape = _check_shape(shape)
     ranks = _check_ranks(shape, ranks)
     if not (math.isfinite(mean) and math.isfinite(std) and std >= 0):
         raise ValueError("mean must be finite and std nonnegative")
@@ -190,11 +188,9 @@ def add_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     return a + sigma * rng.standard_normal(a.shape)
 
 
-def inject_outliers(x, ratio: float, scale: float, seed: int):
+def inject_outliers(x, ratio: float, scale: float, seed: int) -> np.ndarray:
     """Multiply round(ratio * P) distinct uniformly chosen entries by
-    ``scale``. Returns the corrupted tensor and the boolean mask of modified
-    positions.
-    """
+    ``scale``; returns the corrupted tensor."""
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
     if not (math.isfinite(scale) and scale > 0):
@@ -205,9 +201,7 @@ def inject_outliers(x, ratio: float, scale: float, seed: int):
     idx = rng.choice(a.size, size=count, replace=False)
     out = a.copy()
     out.reshape(-1)[idx] *= scale
-    mask = np.zeros(a.size, dtype=bool)
-    mask[idx] = True
-    return out, mask.reshape(a.shape)
+    return out
 
 
 def _run_method(method, y, truth, cfg, sigma, trial_seed, ratio, scale):
@@ -260,7 +254,7 @@ def run_pattern2(cfg: Pattern1Config):
                 y = add_gaussian_noise(truths[rep], sigma, noise_seed)
                 if ratio is not None:
                     out_seed = derive_seed(cfg.seed, _OUTLIER, i, *idx, rep)
-                    y, _ = inject_outliers(y, ratio, scale, out_seed)
+                    y = inject_outliers(y, ratio, scale, out_seed)
                 records.extend(_run_method(method, y, truths[rep], cfg, sigma, noise_seed,
                                            ratio, scale) for method in cfg.methods)
     return records

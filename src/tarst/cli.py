@@ -7,7 +7,8 @@ Subcommands:
   bench-p2    outlier-robustness grid benchmark, CSV out
 
 Exit codes: 0 success, 1 usage error, 2 tensor parse error, 3 numeric
-failure, 4 I/O error. Modes are reported 1-indexed.
+failure, 4 I/O error. The denoise report numbers modes from 1; error
+messages from the library keep the API's 0-indexed modes.
 """
 
 from __future__ import annotations
@@ -47,17 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_den = sub.add_parser("denoise", help="denoise a tensor text file")
+    p_den.set_defaults(run=cmd_denoise)
     p_den.add_argument("input", help="input tensor file")
     p_den.add_argument("output", help="output tensor file")
     p_den.add_argument("--sigma", type=float, default=None,
                        help="known noise standard deviation (default: the median rule)")
 
     p_thr = sub.add_parser("thresholds", help="print threshold constants")
+    p_thr.set_defaults(run=cmd_thresholds)
     p_thr.add_argument("--beta", type=float, required=True,
                        help="aspect ratio in (0, 1]")
 
-    for name in ("bench-p1", "bench-p2"):
-        p = sub.add_parser(name, help=f"run the {'noise sweep' if name == 'bench-p1' else 'outlier grid'} benchmark")
+    for name, what, config_cls in (("bench-p1", "noise sweep", bench.Pattern1Config),
+                                   ("bench-p2", "outlier grid", bench.Pattern2Config)):
+        p = sub.add_parser(name, help=f"run the {what} benchmark")
+        p.set_defaults(run=cmd_bench, config_cls=config_cls)
         p.add_argument("--out", default=f"{name.replace('-', '_')}.csv",
                        help="CSV output path")
         p.add_argument("--matrix-out", default=None,
@@ -98,8 +103,7 @@ def cmd_thresholds(ns) -> int:
 def _summary_table(records) -> str:
     rrses = bench._rrse_by_cell(records)
     lines = []
-    for cell in sorted(dict.fromkeys(key[1:] for key in rrses),
-                       key=lambda c: (c[0], c[1] or 0, c[2] or 0)):
+    for cell in dict.fromkeys(key[1:] for key in rrses):  # in the runner's grid order
         sigma, ratio, scale = cell
         cond = f"sigma={sigma:<8.4g}"
         if ratio is not None:
@@ -110,9 +114,9 @@ def _summary_table(records) -> str:
     return "\n".join(lines)
 
 
-def cmd_bench(ns, config_cls) -> int:
-    cfg = config_cls(shape=ns.shape, true_ranks=ns.ranks, reps=ns.reps, seed=ns.seed,
-                     methods=ns.methods, sigma_known=ns.sigma_known)
+def cmd_bench(ns) -> int:
+    cfg = ns.config_cls(shape=ns.shape, true_ranks=ns.ranks, reps=ns.reps, seed=ns.seed,
+                        methods=ns.methods, sigma_known=ns.sigma_known)
     records = bench.run_pattern2(cfg)  # the config's outlier axes pick the pattern
     bench.write_csv(records, ns.out)
     if ns.matrix_out:
@@ -132,13 +136,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if ns.command == "denoise":
-            return cmd_denoise(ns)
-        if ns.command == "thresholds":
-            return cmd_thresholds(ns)
-        if ns.command == "bench-p1":
-            return cmd_bench(ns, bench.Pattern1Config)
-        return cmd_bench(ns, bench.Pattern2Config)
+        return ns.run(ns)
     except TensorFormatError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

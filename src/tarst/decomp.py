@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import svd
-from .svht import KnownSigma, MedianBased, ThresholdRule, _cutoff
+from .svht import KnownSigma, MedianBased, _cutoff
 from .tensor_ops import (_as_float_array, _as_int, _check_ranks, _mode_product, _unfolding,
                          frobenius_norm, multi_mode_product)
 
@@ -187,7 +187,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
                        svd_calls=start.svd_calls + a.ndim * len(fits), fits=tuple(fits))
 
 
-def tarst(y, rule: ThresholdRule) -> TarstReport:
+def tarst(y, rule: KnownSigma | MedianBased) -> TarstReport:
     """Rank-free denoising by per-mode singular-value thresholding.
 
     For each mode: unfold, thin SVD, take the cutoff of
@@ -196,7 +196,9 @@ def tarst(y, rule: ThresholdRule) -> TarstReport:
     the input projected onto the kept subspaces. Exactly N SVDs, no
     iteration, no rank input.
 
-    ``rule`` is :class:`KnownSigma` or :class:`MedianBased`. Under the
+    ``rule`` is :class:`KnownSigma` or :class:`MedianBased`; any other
+    value raises ``TypeError("unknown threshold rule ...")`` from the cutoff
+    kernel, once the first unfolding has been factorized. Under the
     median rule a mode whose unfolding has a single singular value (a mode
     of extent 1, or the one mode of a 1-way input) keeps rank 1 unless the
     input is all zero: one value carries no noise information to threshold
@@ -209,9 +211,6 @@ def tarst(y, rule: ThresholdRule) -> TarstReport:
     FloatingPointError naming the mode.
     """
     a = _validated(y)
-    if not isinstance(rule, (KnownSigma, MedianBased)):
-        raise TypeError(f"rule must be KnownSigma or MedianBased, got {rule!r}")
-
     taus = []
 
     def rank_of(k, m, s):

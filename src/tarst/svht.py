@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .tensor_ops import _as_int
 __all__ = [
     "KnownSigma",
     "MedianBased",
-    "ThresholdRule",
     "lambda_star",
     "mp_median",
     "omega",
@@ -73,8 +71,6 @@ class KnownSigma:
 class MedianBased:
     """Data-driven rule: calibrate the cutoff from the median singular value."""
 
-
-ThresholdRule = Union[KnownSigma, MedianBased]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -162,7 +158,7 @@ def omega(beta: float) -> float:
     return lambda_star(beta) / math.sqrt(mp_median(float(beta)))  # a hashable cache key
 
 
-def _cutoff(m: int, n: int, rule: ThresholdRule, s) -> float:
+def _cutoff(m: int, n: int, rule: KnownSigma | MedianBased, s) -> float:
     """:func:`threshold_for_unfolding` for a nonincreasing spectrum s, or None."""
     big, small = (m, n) if m >= n else (n, m)
     if small < 1:
@@ -185,7 +181,7 @@ def _cutoff(m: int, n: int, rule: ThresholdRule, s) -> float:
     return tau
 
 
-def threshold_for_unfolding(m: int, n: int, rule: ThresholdRule, s=None) -> float:
+def threshold_for_unfolding(m: int, n: int, rule: KnownSigma | MedianBased, s=None) -> float:
     """Concrete cutoff for one m x n unfolding (integers) under the given rule.
 
     ``s`` is the observed spectrum in any order, without NaN, required by the

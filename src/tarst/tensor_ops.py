@@ -17,7 +17,8 @@ product; ``multi_mode_product`` writes its last product straight in C order,
 so the tensors built from it (``reconstruct``, the benchmark generator) are
 C-contiguous.
 
-Modes are 0-indexed at this API level; command-line output is 1-indexed.
+Modes are 0-indexed here and in the CLI's error messages; the CLI's denoise
+report numbers them from 1.
 All functions are pure and never mutate their arguments.
 """
 
@@ -51,6 +52,14 @@ def _as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_shape(shape) -> tuple:
+    """A non-empty tuple of integer extents, each >= 1."""
+    shape = tuple(_as_int(i, "extent") for i in shape)
+    if not shape or min(shape) < 1:
+        raise ValueError(f"invalid shape {shape!r}")
+    return shape
 
 
 def _check_ranks(shape, ranks) -> tuple:
@@ -118,9 +127,7 @@ def unfold(t, mode: int) -> np.ndarray:
 def fold(m, mode: int, shape) -> np.ndarray:
     """Inverse of :func:`unfold` for the given mode and target shape."""
     a = np.asarray(m, dtype=np.float64)
-    shape = tuple(_as_int(s, "extent") for s in shape)
-    if any(s < 1 for s in shape):
-        raise ValueError(f"invalid target shape {shape}")
+    shape = _check_shape(shape)
     mode = _check_mode(len(shape), mode)
     rest = tuple(s for j, s in enumerate(shape) if j != mode)
     if a.ndim != 2 or a.shape != (shape[mode], math.prod(rest)):

@@ -176,34 +176,40 @@ def test_noise_sigma_validation():
 # --- inject_outliers ---
 
 
+# inject_outliers returns only the corrupted tensor; on an input with no
+# zeros and a scale other than 1 the chosen entries are exactly those with
+# out != x
+
+
 def test_outliers_identity_scale_changes_nothing():
     x = np.arange(1.0, 28.0).reshape(3, 3, 3)
-    out, mask = inject_outliers(x, ratio=1.0, scale=1.0, seed=0)
+    out = inject_outliers(x, ratio=1.0, scale=1.0, seed=0)
     np.testing.assert_array_equal(out, x)
-    assert mask.all()
 
 
 def test_outliers_exact_count():
     x = np.ones((10, 10, 10))
-    out, mask = inject_outliers(x, ratio=0.1, scale=10.0, seed=0)
-    assert mask.sum() == 100
+    out = inject_outliers(x, ratio=0.1, scale=10.0, seed=0)
     assert (out == 10.0).sum() == 100
+    assert (out == 1.0).sum() == 900
 
 
 def test_outliers_multiply_semantics_and_masked_mean():
     x = gen_lowrank_tensor((10, 10, 10), (3, 3, 3), 10.0, 2.0, seed=2)
-    out, mask = inject_outliers(x, ratio=0.05, scale=50.0, seed=3)
-    np.testing.assert_allclose(out[mask], 50.0 * x[mask], rtol=1e-14)
-    np.testing.assert_array_equal(out[~mask], x[~mask])
-    assert out[mask].mean() == pytest.approx(50.0 * x[mask].mean(), rel=1e-12)
+    assert np.all(x != 0)
+    out = inject_outliers(x, ratio=0.05, scale=50.0, seed=3)
+    chosen = out != x
+    assert chosen.sum() == 50  # round(0.05 * 1000): every other entry is left alone
+    np.testing.assert_allclose(out[chosen], 50.0 * x[chosen], rtol=1e-14)
+    assert out[chosen].mean() == pytest.approx(50.0 * x[chosen].mean(), rel=1e-12)
 
 
 def test_outliers_deterministic():
     x = np.random.default_rng(0).normal(size=(6, 6, 6))
-    a, ma = inject_outliers(x, 0.25, 25.0, seed=11)
-    b, mb = inject_outliers(x, 0.25, 25.0, seed=11)
+    a = inject_outliers(x, 0.25, 25.0, seed=11)
+    b = inject_outliers(x, 0.25, 25.0, seed=11)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(ma, mb)
+    assert (a != x).sum() == 54  # round(0.25 * 216)
 
 
 def test_outliers_validation():
@@ -460,6 +466,17 @@ def test_pattern1_cells_independent_of_grid_extension():
     rb = [r for r in run_pattern2(long) if r.sigma == 0.5]
     assert [(r.method, r.seed, r.rrse) for r in ra] == \
         [(r.method, r.seed, r.rrse) for r in rb]
+
+
+@pytest.mark.parametrize("cls", [Pattern1Config, Pattern2Config])
+def test_run_pattern2_writes_cells_in_ascending_order(cls):
+    # the CLI's summary table prints the cells in the order the runner wrote
+    # them; on the default grids that order is ascending (sigma, ratio, scale)
+    cfg = cls(reps=1, methods=("Baseline",))
+    cells = [(r.sigma, r.outlier_ratio or 0, r.outlier_scale or 0) for r in run_pattern2(cfg)]
+    assert len(cells) == len(cfg.sigma_grid) * max(1, len(cfg.outlier_ratios)
+                                                   * len(cfg.outlier_scales))
+    assert all(a < b for a, b in zip(cells, cells[1:]))
 
 
 # --- run_pattern2 on Pattern 2 configs ---

@@ -269,6 +269,14 @@ def test_bench_rejects_unknown_method(capsys):
     assert "unknown methods" in capsys.readouterr().err
 
 
+def test_bench_error_keeps_the_api_mode_numbering(tmp_path, capsys):
+    # the denoise report numbers modes from 1; a library error keeps mode 0
+    out = tmp_path / "p1.csv"
+    assert main(["bench-p1", "--shape", "4,4,4", "--ranks", "5,3,3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rank 5 out of range [1, 4] for mode 0\n"
+    assert not out.exists()
+
+
 def test_bench_rejects_repeated_method(tmp_path, capsys):
     out = tmp_path / "p1.csv"
     assert main(["bench-p1", "--shape", "5,5,5", "--ranks", "2,2,2", "--reps", "2",

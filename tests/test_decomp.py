@@ -404,7 +404,8 @@ def test_tarst_extent_one_and_one_way_inputs_are_defined(seed, log10_c, zero):
 
 def test_tarst_validation():
     y = np.zeros((3, 3))
-    with pytest.raises(TypeError, match="rule must be"):
+    # the cutoff kernel is the one place that tells the rules apart
+    with pytest.raises(TypeError, match="^unknown threshold rule 'median'$"):
         tarst(y, "median")
     with pytest.raises(ValueError, match="non-finite"):
         tarst(np.array([[np.nan, 0.0]]), MedianBased())

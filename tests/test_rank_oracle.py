@@ -62,8 +62,8 @@ def _trials(cfg):
                 y = add_gaussian_noise(truths[rep], sigma,
                                        derive_seed(cfg.seed, _NOISE, i, *idx, rep))
                 if ratio is not None:
-                    y, _ = inject_outliers(y, ratio, scale,
-                                           derive_seed(cfg.seed, _OUTLIER, i, *idx, rep))
+                    y = inject_outliers(y, ratio, scale,
+                                        derive_seed(cfg.seed, _OUTLIER, i, *idx, rep))
                 yield sigma, truths[rep], y
 
 

@@ -5,12 +5,14 @@ C order, last fastest) is frozen here against hand-expanded matrices, and
 the algebraic identities are exercised under randomized inputs.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
-from tarst.bench import add_gaussian_noise, gen_lowrank_tensor, inject_outliers
+from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
 from tarst.tensor_ops import (fold, frobenius_norm, mode_product,
                               multi_mode_product, unfold)
@@ -209,8 +211,26 @@ def test_non_integer_mode_or_extent_raises_type_error():
 def test_fold_rejects_wrong_geometry():
     with pytest.raises(ValueError, match="cannot fold"):
         fold(np.zeros((3, 7)), 0, (3, 2, 4))
-    with pytest.raises(ValueError, match="invalid target shape"):
+    with pytest.raises(ValueError, match=r"^invalid shape \(2, 0\)$"):
         fold(np.zeros((2, 2)), 0, (2, 0))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0, 2), ()])
+def test_one_shape_rule_for_generator_config_and_fold(shape, monkeypatch):
+    # the generator used to report (0, 3) as a rank fault and to draw random
+    # numbers before it failed on ()
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew random numbers for an invalid shape")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    message = f"^invalid shape {re.escape(repr(shape))}$"
+    ranks = (1,) * len(shape)
+    with pytest.raises(ValueError, match=message):
+        gen_lowrank_tensor(shape, ranks, 10.0, 2.0, 0)
+    with pytest.raises(ValueError, match=message):
+        Pattern1Config(shape=shape, true_ranks=ranks)
+    with pytest.raises(ValueError, match=message):
+        fold(np.zeros((1, 1)), 0, shape)
 
 
 def test_multi_mode_product_matches_sequential():
@@ -273,7 +293,7 @@ def test_products_reconstructions_and_generated_tensors_are_c_order(shape):
                reconstruct(TuckerModel(core=core, factors=qs))]
     truth = gen_lowrank_tensor(shape, ranks, 10.0, 2.0, seed=5)
     outputs += [truth, add_gaussian_noise(truth, 0.5, seed=6),
-                inject_outliers(truth, 0.5, 10.0, seed=7)[0]]
+                inject_outliers(truth, 0.5, 10.0, seed=7)]
     # a degenerate model: one mode (first, middle or last) kept nothing
     for k in range(len(shape)):
         ranks0 = ranks[:k] + (0,) + ranks[k + 1:]
