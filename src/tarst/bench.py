@@ -127,6 +127,8 @@ class Pattern1Config:
             raise ValueError("outlier_ratios and outlier_scales must be empty together")
         if any(not 0 < r <= 1 for r in self.outlier_ratios):
             raise ValueError("outlier_ratios must lie in (0, 1]")
+        for r in self.outlier_ratios:
+            _outlier_count(r, math.prod(shape))
         if any(not 1 < s < math.inf for s in self.outlier_scales):
             raise ValueError("outlier_scales must be finite and exceed 1")
 
@@ -188,15 +190,26 @@ def add_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     return a + sigma * rng.standard_normal(a.shape)
 
 
+def _outlier_count(ratio: float, size: int) -> int:
+    """round(ratio * size), the number of entries an outlier ratio corrupts;
+    raises ValueError when that is none, so no record carries a ratio its
+    input does not hold."""
+    count = int(round(ratio * size))
+    if count == 0:
+        raise ValueError(f"outlier ratio {ratio!r} of {size} entries rounds to no outlier")
+    return count
+
+
 def inject_outliers(x, ratio: float, scale: float, seed: int) -> np.ndarray:
     """Multiply round(ratio * P) distinct uniformly chosen entries by
-    ``scale``; returns the corrupted tensor."""
+    ``scale``; returns the corrupted tensor. A ratio whose count rounds to
+    0 raises ValueError."""
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive, got {scale!r}")
     a = np.asarray(x, dtype=np.float64)
-    count = int(round(ratio * a.size))
+    count = _outlier_count(ratio, a.size)
     rng = np.random.default_rng(seed)
     idx = rng.choice(a.size, size=count, replace=False)
     out = a.copy()

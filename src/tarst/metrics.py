@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .svht import _bisect
-from .tensor_ops import frobenius_norm
+from .tensor_ops import _in_range, _norm
 
 __all__ = ["SummaryStat", "rrse", "summarize"]
 
@@ -22,28 +22,68 @@ class SummaryStat:
     n: int
 
 
+_BLOCK = 1 << 14  # entries per block of rrse's sums: the buffer stays in cache
+
+
+def _blocks(shape):
+    """Index tuples cutting an array of ``shape``, in C order, into runs of
+    whole sub-arrays over its trailing axes of at most ``_BLOCK`` entries:
+    one strided view each, whatever the layout."""
+    if math.prod(shape) <= _BLOCK:
+        yield ()
+        return
+    k = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= _BLOCK)
+    run = _BLOCK // math.prod(shape[k:])
+    for lead in np.ndindex(*shape[:k - 1]):
+        for j in range(0, shape[k - 1], run):
+            yield lead + (slice(j, j + run),)
+
+
+def _sums_of_squares(x: np.ndarray, e: np.ndarray | None = None) -> tuple:
+    """(sum of x**2, sum of (e - x)**2 or 0.0 without e), summed per block
+    gathered in C order into one reused buffer."""
+    buf = np.empty(min(x.size, _BLOCK))
+    sx = sd = 0.0
+    with np.errstate(over="ignore"):
+        for idx in _blocks(x.shape):
+            xb = x[idx]
+            flat = buf[:xb.size]
+            b = flat.reshape(xb.shape)
+            b[...] = xb
+            sx += flat.dot(flat)
+            if e is not None:
+                np.subtract(e[idx], b, out=b)
+                sd += flat.dot(flat)
+    return float(sx), float(sd)
+
+
 def rrse(est, truth) -> float:
     """Relative reconstruction error ||est - truth||_F / ||truth||_F.
 
     The benchmark literature calls this "RRSE" although the ratio is not
     squared; this implements the operative formula. Undefined (raises) for
-    zero-norm truth. One C-order temporary holds the truth and then, in
-    place, the difference, so neither norm gathers its operand again; both
-    sum in C order, and the result has the same bits whatever the memory
-    layout of either input. With C-order inputs, as ``reconstruct`` and
-    ``bench.gen_lowrank_tensor`` return, the copy is a memcpy and the
-    subtraction reads contiguous memory.
+    zero-norm truth. One pass streams both operands with no full-size
+    temporary: each block of at most ``_BLOCK`` entries, cut by the shape
+    alone, is gathered from the truth into one small buffer, its squares
+    summed, ``est - truth`` formed in place there and summed too. So the
+    result has the same bits whatever the memory layout of either input.
+    When either norm leaves [2**-450, inf), both are taken again with
+    ``frobenius_norm``'s exact power-of-two scaling over the same blocks
+    (a full-size difference, on that path only).
     """
     e = np.asarray(est, dtype=np.float64)
     x = np.asarray(truth, dtype=np.float64)
     if e.shape != x.shape:
         raise ValueError(f"shape mismatch: {e.shape} vs {x.shape}")
-    d = np.array(x, order="C")  # a copy: the difference is written into it
-    denom = frobenius_norm(d)
+    sx, sd = _sums_of_squares(x, e)
+    denom, num = math.sqrt(sx), math.sqrt(sd)
+    if not (_in_range(denom) and _in_range(num)):
+        def sum_sq(a):
+            return _sums_of_squares(a)[0]
+        denom, num = _norm(x, sum_sq), _norm(e - x, sum_sq)
     if denom == 0.0:
         raise ValueError("rrse is undefined for zero-norm truth")
-    np.subtract(e, d, out=d)
-    return frobenius_norm(d) / denom
+    return num / denom
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,15 @@ __all__ = [
 ]
 
 
+# multi_mode_product writes its last product in row blocks of whole
+# _PANEL-row panels, as many as fit in _PRODUCT_BLOCK output entries. 384 rows
+# is the row panel of OpenBLAS's dgemm on AVX-512 cores: with one BLAS thread,
+# such blocks kept the bits of one call on 300 random shapes, while blocks of
+# 256, 512 or 1000 rows changed some entries' last bit on 10-15% of them.
+_PANEL = 384
+_PRODUCT_BLOCK = 1 << 17
+
+
 def _as_float_array(t) -> np.ndarray:
     a = np.asarray(t, dtype=np.float64)
     if a.ndim < 1:
@@ -56,7 +65,11 @@ def _as_int(value, what: str) -> int:
 
 def _check_shape(shape) -> tuple:
     """A non-empty tuple of integer extents, each >= 1."""
-    shape = tuple(_as_int(i, "extent") for i in shape)
+    try:
+        extents = iter(shape)
+    except TypeError:
+        raise TypeError(f"shape must be a sequence of integers, got {shape!r}") from None
+    shape = tuple(_as_int(i, "extent") for i in extents)
     if not shape or min(shape) < 1:
         raise ValueError(f"invalid shape {shape!r}")
     return shape
@@ -154,9 +167,14 @@ def multi_mode_product(t, factors) -> np.ndarray:
     :func:`mode_product`'s kernel; the last product is written straight in
     C order as ``m @ U_{N-1}^T``, m the running tensor viewed as
     prod(rest) x r_{N-1} (gathered first when it is a permuted view, a copy
-    whose last extent is the rank, not the output's extent). That is equal
-    to the mode-by-mode chain up to roundoff: whether the bits match depends
-    on the BLAS kernel.
+    whose last extent is the rank, not the output's extent). That product
+    fills one preallocated output in row blocks, one ``np.dot`` each: whole
+    ``_PANEL``-row panels, as many as fit in ``_PRODUCT_BLOCK`` output
+    entries (at least one), the last block also taking the rows left over,
+    so no block is a short tail (fewer rows than two blocks make one plain
+    ``np.dot``). With one OpenBLAS thread every entry has the bits of one
+    ``np.dot(m, U_{N-1}.T)``. The result equals the mode-by-mode chain up
+    to roundoff: whether the bits match depends on the BLAS kernel.
     """
     a = _as_float_array(t)
     factors = list(factors)
@@ -167,23 +185,47 @@ def multi_mode_product(t, factors) -> np.ndarray:
         out = _mode_product(out, _as_factor(factors[k], a.shape[k], k), k)
     u = _as_factor(factors[-1], a.shape[-1], a.ndim - 1)
     rest = out.shape[:-1]
-    m = out.reshape(math.prod(rest), u.shape[1])  # copies a permuted view
-    return np.dot(m, u.T).reshape(rest + (u.shape[0],))
+    n = math.prod(rest)
+    m = out.reshape(n, u.shape[1])  # copies a permuted view
+    step = _PANEL * max(1, _PRODUCT_BLOCK // (_PANEL * max(1, u.shape[0])))
+    if n < 2 * step:  # one block
+        return np.dot(m, u.T).reshape(rest + (u.shape[0],))
+    res = np.empty((n, u.shape[0]))
+    i = 0
+    while i < n:
+        j = n if n < i + 2 * step else i + step  # the last block takes the rest
+        np.dot(m[i:j], u.T, out=res[i:j])
+        i = j
+    return res.reshape(rest + (u.shape[0],))
 
 
-def frobenius_norm(t) -> float:
-    """sqrt of the sum of squared entries: the plain ``sqrt(x . x)`` when it
-    lies in [2**-450, inf), else that of x scaled exactly by the power of two
-    putting its peak in [1/2, 1) (as in ``linalg.svd``'s fallback), scaled back,
-    so ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit."""
-    x = np.asarray(t, dtype=np.float64).ravel()
+def _in_range(r: float) -> bool:
+    """Whether a plain norm is finite and >= 2**-450, so no square that matters is subnormal."""
+    return 2.0 ** -450 <= r < math.inf
+
+
+def _norm(x: np.ndarray, sum_sq) -> float:
+    """``sqrt(sum_sq(x))`` when it is :func:`_in_range`, else that of x scaled
+    exactly by the power of two putting its peak in [1/2, 1) (as in
+    ``linalg.svd``'s fallback), scaled back: exact under power-of-two scales."""
     with np.errstate(over="ignore"):
-        r = math.sqrt(x.dot(x))
-        if 2.0 ** -450 <= r < math.inf:  # no square that matters is subnormal
+        r = math.sqrt(sum_sq(x))
+        if _in_range(r):
             return r
         peak = np.abs(x).max(initial=0.0)
         if not 0 < peak < math.inf:  # zero, or an inf or nan entry
             return r
         e = math.frexp(peak)[1]
-        b = np.ldexp(x, -e)
-        return float(np.ldexp(math.sqrt(b.dot(b)), e))
+        return float(np.ldexp(math.sqrt(sum_sq(np.ldexp(x, -e))), e))
+
+
+def frobenius_norm(t) -> float:
+    """sqrt of the sum of squared entries: the plain ``sqrt(x . x)`` over the
+    C-order entries, with :func:`_norm`'s exact power-of-two fallback, so
+    ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit.
+    A plain sum in range is returned without calling ``_norm``: HOOI takes
+    one norm per sweep."""
+    x = np.asarray(t, dtype=np.float64).ravel()
+    with np.errstate(over="ignore"):
+        r = math.sqrt(x.dot(x))
+    return r if _in_range(r) else _norm(x, lambda b: b.dot(b))

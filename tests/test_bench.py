@@ -224,6 +224,20 @@ def test_outliers_validation():
         inject_outliers(x, 0.5, float("nan"), seed=0)
 
 
+def test_outlier_ratio_that_rounds_to_no_entry_is_rejected():
+    # round(0.1 * 3) == 0: the input used to come back unchanged, and a
+    # config's records carried a ratio their inputs did not hold
+    with pytest.raises(ValueError, match=r"^outlier ratio 0\.1 of 3 entries rounds to no outlier$"):
+        inject_outliers(np.ones(3), 0.1, 2.0, seed=0)
+    with pytest.raises(ValueError, match=r"^outlier ratio 0\.01 of 27 entries rounds to no outlier$"):
+        Pattern2Config(shape=(3, 3, 3))
+    with pytest.raises(ValueError, match=r"^outlier ratio 0\.001 of 120 entries"):
+        Pattern2Config(shape=(5, 6, 4), outlier_ratios=(0.5, 0.001))
+    # one corrupted entry is enough
+    assert (inject_outliers(np.ones(3), 0.2, 2.0, seed=0) == 2.0).sum() == 1
+    assert Pattern2Config(shape=(5, 6, 4)).outlier_ratios[0] == 0.01
+
+
 # --- defaults and config validation ---
 
 

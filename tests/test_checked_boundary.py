@@ -21,7 +21,7 @@ from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
 from tarst.linalg import svd
 from tarst.svht import (KnownSigma, MedianBased, hard_threshold,
                         threshold_for_unfolding)
-from tarst.tensor_ops import frobenius_norm, mode_product, unfold
+from tarst.tensor_ops import fold, frobenius_norm, mode_product, unfold
 
 
 def _project(t, factors):
@@ -270,6 +270,11 @@ BOUNDARY = [
                  id="<lambda>-ValueError-factor 1 has 3 columns against core extent 2"),
     (lambda: reconstruct(TuckerModel(core=np.zeros(2), factors=[np.zeros(2)])),
      ValueError, "factor must be a matrix"),
+    pytest.param(lambda: fold(_Z, 0, 5), TypeError, "shape must be a sequence of integers, got 5",
+                 id="<lambda>-TypeError-shape must be a sequence of integers, got 5 (fold)"),
+    pytest.param(lambda: bench.Pattern1Config(shape=5), TypeError,
+                 "shape must be a sequence of integers, got 5",
+                 id="<lambda>-TypeError-shape must be a sequence of integers, got 5 (config)"),
 ]
 
 

@@ -284,3 +284,14 @@ def test_bench_rejects_repeated_method(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: methods must not repeat, got ('TARST', 'TARST')\n")
     assert not out.exists()
+
+
+def test_bench_p2_rejects_an_outlier_ratio_that_corrupts_nothing(tmp_path, capsys):
+    # 27 entries at ratio 0.01 round to no outlier; the run used to write
+    # those rows from clean inputs
+    out = tmp_path / "p2.csv"
+    assert main(["bench-p2", "--shape", "3,3,3", "--ranks", "1,1,1", "--reps", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: outlier ratio 0.01 of 27 entries rounds to no outlier\n")
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Tests for the error metric and the t-interval summary."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,13 +145,15 @@ def test_summarize_empty_rejected():
 
 @pytest.mark.parametrize("c", [2.0 ** 600, 2.0 ** -600, 1e200, 1e-200, 1e300, 1e-300])
 def test_rrse_defined_at_extreme_magnitudes(c):
-    rng = np.random.default_rng(17)
-    x = rng.standard_normal((10, 10, 10))
-    e = x + 0.1 * rng.standard_normal(x.shape)
-    want = rrse(e, x)
-    assert rrse(c * e, c * x) == pytest.approx(want, rel=1e-14)
-    if math.frexp(c)[0] == 0.5:  # a power of two scales exactly
-        assert rrse(c * e, c * x) == want
+    # one block of rrse's sums, and several (40 x 30 x 20 is cut into two)
+    for shape in [(10, 10, 10), (40, 30, 20)]:
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(shape)
+        e = x + 0.1 * rng.standard_normal(x.shape)
+        want = rrse(e, x)
+        assert rrse(c * e, c * x) == pytest.approx(want, rel=1e-14)
+        if math.frexp(c)[0] == 0.5:  # a power of two scales exactly
+            assert rrse(c * e, c * x) == want
 
 
 def _layouts(t):
@@ -162,7 +165,7 @@ def _layouts(t):
     return out
 
 
-@pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2)])
+@pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2), (40, 30, 20)])
 @pytest.mark.parametrize("c", [1.0, 2.0 ** -600, 1e300])
 def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
     # reconstruct returns C order; _layouts adds Fortran order and two
@@ -184,8 +187,8 @@ def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
 
 
 def test_rrse_leaves_its_inputs_unchanged():
-    # the difference is formed in place in a copy of the truth, never in
-    # the caller's arrays, whatever their layout
+    # the difference is formed in place in a buffer holding a block of the
+    # truth, never in the caller's arrays, whatever their layout
     rng = np.random.default_rng(24)
     for truth in (rng.standard_normal((4, 5, 6)), np.asfortranarray(rng.standard_normal((4, 5)))):
         est = truth + 0.1
@@ -227,3 +230,21 @@ MP_MEDIAN_BITS = {
 @pytest.mark.parametrize("beta", sorted(MP_MEDIAN_BITS))
 def test_mp_median_and_omega_bits_are_pinned(beta):
     assert (mp_median(beta).hex(), omega(beta).hex()) == MP_MEDIAN_BITS[beta]
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_rrse_makes_no_full_size_copy(layout):
+    # rrse streams both operands through one small buffer, whatever their
+    # layout: a copy of the truth, or a full-size difference, would show as
+    # a peak of ~1x its size
+    rng = np.random.default_rng(25)
+    truth = np.asarray(rng.standard_normal((100, 100, 100)), order=layout)
+    est = truth + 0.1 * rng.standard_normal(truth.shape)
+    rrse(est, truth)  # warm up lazy numpy set-up outside the traced call
+    tracemalloc.start()
+    try:
+        rrse(est, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * truth.nbytes

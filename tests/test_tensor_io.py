@@ -288,7 +288,8 @@ def test_read_outcome_is_an_array_or_a_located_format_error(tmp_path_factory, te
     try:
         a = read_tensor(p)
     except TensorFormatError as e:
-        lines = open(p, encoding="utf-8").readlines()
+        with open(p, encoding="utf-8") as fh:
+            lines = fh.readlines()
         assert e.line is not None
         assert 0 <= e.line <= len(lines)
         # a token the message quotes is on the line the error names

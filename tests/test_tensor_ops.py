@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
 from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
-from tarst.tensor_ops import (fold, frobenius_norm, mode_product,
+from tarst.tensor_ops import (_PANEL, _PRODUCT_BLOCK, fold, frobenius_norm, mode_product,
                               multi_mode_product, unfold)
 
 # t[i, j, k] = 1 + 4i + 2j + k, so each unfolding below can be checked by eye
@@ -248,6 +248,33 @@ def test_multi_mode_product_matches_sequential():
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1), (3, -1)])
+def test_multi_mode_product_last_product_has_the_bits_of_one_dot(blocks, extra):
+    # the last product is written in row blocks of whole _PANEL-row panels;
+    # each entry keeps the bits of one np.dot over all the rows
+    rng = np.random.default_rng(29)
+    extent = 64
+    block = _PANEL * (_PRODUCT_BLOCK // (_PANEL * extent))
+    t = rng.standard_normal((5, 6))
+    us = [rng.standard_normal((blocks * block + extra, 5)), rng.standard_normal((extent, 6))]
+    want = np.dot(mode_product(t, us[0], 0), us[1].T)
+    assert multi_mode_product(t, us).tobytes() == want.tobytes()
+
+
+def test_multi_mode_product_at_30_to_the_fourth_has_the_bits_of_one_dot():
+    rng = np.random.default_rng(31)
+    core = rng.standard_normal((6, 6, 6, 6))
+    us = [np.linalg.qr(rng.standard_normal((30, 6)))[0] for _ in range(4)]
+    m = core
+    for k in range(3):
+        m = mode_product(m, us[k], k)
+    want = np.dot(m.reshape(30 ** 3, 6), us[3].T).reshape(30, 30, 30, 30)
+    got = multi_mode_product(core, us)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    # a last factor with no rows gives an empty result, not a zero division
+    assert multi_mode_product(core, us[:3] + [np.zeros((0, 6))]).shape == (30, 30, 30, 0)
+
+
 def test_multi_mode_product_needs_one_factor_per_mode():
     rng = np.random.default_rng(17)
     t = rng.standard_normal((3, 4, 5))
@@ -293,7 +320,7 @@ def test_products_reconstructions_and_generated_tensors_are_c_order(shape):
                reconstruct(TuckerModel(core=core, factors=qs))]
     truth = gen_lowrank_tensor(shape, ranks, 10.0, 2.0, seed=5)
     outputs += [truth, add_gaussian_noise(truth, 0.5, seed=6),
-                inject_outliers(truth, 0.5, 10.0, seed=7)]
+                inject_outliers(truth, 1.0, 10.0, seed=7)]
     # a degenerate model: one mode (first, middle or last) kept nothing
     for k in range(len(shape)):
         ranks0 = ranks[:k] + (0,) + ranks[k + 1:]
