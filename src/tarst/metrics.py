@@ -67,9 +67,10 @@ def rrse(est, truth) -> float:
     alone, is gathered from the truth into one small buffer, its squares
     summed, ``est - truth`` formed in place there and summed too. So the
     result has the same bits whatever the memory layout of either input.
-    When either norm leaves [2**-450, inf), both are taken again with
-    ``frobenius_norm``'s exact power-of-two scaling over the same blocks
-    (a full-size difference, on that path only).
+    A norm outside [2**-450, inf) is taken again with ``frobenius_norm``'s
+    exact power-of-two scaling over the same blocks; for the difference
+    norm (0, or below 2**-450, as when est equals truth) that path forms
+    a full-size ``est - truth``.
     """
     e = np.asarray(est, dtype=np.float64)
     x = np.asarray(truth, dtype=np.float64)
@@ -77,10 +78,10 @@ def rrse(est, truth) -> float:
         raise ValueError(f"shape mismatch: {e.shape} vs {x.shape}")
     sx, sd = _sums_of_squares(x, e)
     denom, num = math.sqrt(sx), math.sqrt(sd)
-    if not (_in_range(denom) and _in_range(num)):
-        def sum_sq(a):
-            return _sums_of_squares(a)[0]
-        denom, num = _norm(x, sum_sq), _norm(e - x, sum_sq)
+    if not _in_range(denom):
+        denom = _norm(x, denom, lambda a: _sums_of_squares(a)[0])
+    if not _in_range(num):
+        num = _norm(e - x, num, lambda a: _sums_of_squares(a)[0])
     if denom == 0.0:
         raise ValueError("rrse is undefined for zero-norm truth")
     return num / denom

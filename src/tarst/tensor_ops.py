@@ -171,10 +171,11 @@ def multi_mode_product(t, factors) -> np.ndarray:
     fills one preallocated output in row blocks, one ``np.dot`` each: whole
     ``_PANEL``-row panels, as many as fit in ``_PRODUCT_BLOCK`` output
     entries (at least one), the last block also taking the rows left over,
-    so no block is a short tail (fewer rows than two blocks make one plain
-    ``np.dot``). With one OpenBLAS thread every entry has the bits of one
-    ``np.dot(m, U_{N-1}.T)``. The result equals the mode-by-mode chain up
-    to roundoff: whether the bits match depends on the BLAS kernel.
+    so no block is a short tail. With one OpenBLAS thread on its AVX-512
+    dgemm kernel every entry has the bits of one ``np.dot(m, U_{N-1}.T)``;
+    with more threads, or another kernel, the blocks may round some entries
+    apart from it in the last bit. The result equals the mode-by-mode chain
+    up to roundoff: whether the bits match depends on the BLAS kernel.
     """
     a = _as_float_array(t)
     factors = list(factors)
@@ -188,8 +189,6 @@ def multi_mode_product(t, factors) -> np.ndarray:
     n = math.prod(rest)
     m = out.reshape(n, u.shape[1])  # copies a permuted view
     step = _PANEL * max(1, _PRODUCT_BLOCK // (_PANEL * max(1, u.shape[0])))
-    if n < 2 * step:  # one block
-        return np.dot(m, u.T).reshape(rest + (u.shape[0],))
     res = np.empty((n, u.shape[0]))
     i = 0
     while i < n:
@@ -204,28 +203,26 @@ def _in_range(r: float) -> bool:
     return 2.0 ** -450 <= r < math.inf
 
 
-def _norm(x: np.ndarray, sum_sq) -> float:
-    """``sqrt(sum_sq(x))`` when it is :func:`_in_range`, else that of x scaled
-    exactly by the power of two putting its peak in [1/2, 1) (as in
-    ``linalg.svd``'s fallback), scaled back: exact under power-of-two scales."""
-    with np.errstate(over="ignore"):
-        r = math.sqrt(sum_sq(x))
-        if _in_range(r):
-            return r
-        peak = np.abs(x).max(initial=0.0)
-        if not 0 < peak < math.inf:  # zero, or an inf or nan entry
-            return r
-        e = math.frexp(peak)[1]
+def _norm(x: np.ndarray, r: float, sum_sq) -> float:
+    """The norm of x whose plain value ``r = sqrt(sum_sq(x))`` is not
+    :func:`_in_range`: ``sqrt(sum_sq)`` of x scaled exactly by the power of
+    two putting its peak in [1/2, 1) (as in ``linalg.svd``'s fallback),
+    scaled back, so exact under power-of-two scales; ``r`` itself when the
+    peak is zero, inf or nan."""
+    peak = np.abs(x).max(initial=0.0)
+    if not 0 < peak < math.inf:
+        return r
+    e = math.frexp(peak)[1]
+    with np.errstate(over="ignore"):  # a norm past the top scales back to inf
         return float(np.ldexp(math.sqrt(sum_sq(np.ldexp(x, -e))), e))
 
 
 def frobenius_norm(t) -> float:
     """sqrt of the sum of squared entries: the plain ``sqrt(x . x)`` over the
-    C-order entries, with :func:`_norm`'s exact power-of-two fallback, so
-    ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit.
-    A plain sum in range is returned without calling ``_norm``: HOOI takes
-    one norm per sweep."""
+    C-order entries, with :func:`_norm`'s exact power-of-two fallback when
+    it is not :func:`_in_range`, so
+    ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit."""
     x = np.asarray(t, dtype=np.float64).ravel()
     with np.errstate(over="ignore"):
         r = math.sqrt(x.dot(x))
-    return r if _in_range(r) else _norm(x, lambda b: b.dot(b))
+    return r if _in_range(r) else _norm(x, r, lambda b: b.dot(b))

@@ -5,7 +5,11 @@ C order, last fastest) is frozen here against hand-expanded matrices, and
 the algebraic identities are exercised under randomized inputs.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,31 +252,52 @@ def test_multi_mode_product_matches_sequential():
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1), (3, -1)])
-def test_multi_mode_product_last_product_has_the_bits_of_one_dot(blocks, extra):
-    # the last product is written in row blocks of whole _PANEL-row panels;
-    # each entry keeps the bits of one np.dot over all the rows
+def _last_products():
+    """(got, want) pairs: multi_mode_product against one np.dot for its last
+    product, at row counts of block - 1, block, block + 1, 2 block + 1 and
+    3 block - 1 (block = whole _PANEL-row panels in _PRODUCT_BLOCK entries),
+    and at 30^4."""
     rng = np.random.default_rng(29)
-    extent = 64
-    block = _PANEL * (_PRODUCT_BLOCK // (_PANEL * extent))
-    t = rng.standard_normal((5, 6))
-    us = [rng.standard_normal((blocks * block + extra, 5)), rng.standard_normal((extent, 6))]
-    want = np.dot(mode_product(t, us[0], 0), us[1].T)
-    assert multi_mode_product(t, us).tobytes() == want.tobytes()
-
-
-def test_multi_mode_product_at_30_to_the_fourth_has_the_bits_of_one_dot():
-    rng = np.random.default_rng(31)
+    extent = 285  # wide enough that 256-row blocks would round apart
+    block = _PANEL * max(1, _PRODUCT_BLOCK // (_PANEL * extent))
+    t = rng.standard_normal((5, 10))
+    for blocks, extra in [(1, -1), (1, 0), (1, 1), (2, 1), (3, -1)]:
+        us = [rng.standard_normal((blocks * block + extra, 5)),
+              rng.standard_normal((extent, 10))]
+        yield multi_mode_product(t, us), np.dot(mode_product(t, us[0], 0), us[1].T)
     core = rng.standard_normal((6, 6, 6, 6))
     us = [np.linalg.qr(rng.standard_normal((30, 6)))[0] for _ in range(4)]
     m = core
     for k in range(3):
         m = mode_product(m, us[k], k)
-    want = np.dot(m.reshape(30 ** 3, 6), us[3].T).reshape(30, 30, 30, 30)
-    got = multi_mode_product(core, us)
-    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    yield (multi_mode_product(core, us),
+           np.dot(m.reshape(30 ** 3, 6), us[3].T).reshape(30, 30, 30, 30))
+
+
+def test_multi_mode_product_last_product_matches_one_dot():
+    for got, want in _last_products():
+        assert got.flags.c_contiguous and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
     # a last factor with no rows gives an empty result, not a zero division
-    assert multi_mode_product(core, us[:3] + [np.zeros((0, 6))]).shape == (30, 30, 30, 0)
+    core = np.ones((6, 6, 6, 6))
+    us = [np.ones((30, 6))] * 3 + [np.zeros((0, 6))]
+    assert multi_mode_product(core, us).shape == (30, 30, 30, 0)
+
+
+def test_multi_mode_product_last_product_has_the_bits_of_one_dot_on_one_blas_thread():
+    # the row blocks keep every bit of one np.dot only with one BLAS thread
+    # (on OpenBLAS's AVX-512 dgemm, whose row panel is _PANEL): with more
+    # threads a block can round apart, so this runs in a pinned interpreter
+    tests = Path(__file__).resolve().parent
+    program = (f"import sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+               "from test_tensor_ops import _last_products\n"
+               "print(*[g.tobytes() == w.tobytes() for g, w in _last_products()])")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * 6
 
 
 def test_multi_mode_product_needs_one_factor_per_mode():
