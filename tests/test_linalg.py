@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarst import linalg
+from tarst.bench import add_gaussian_noise, gen_lowrank_tensor
+from tarst.decomp import tarst
 from tarst.linalg import svd
-from tarst.svht import mp_median
+from tarst.svht import MedianBased, mp_median
 from tarst.tensor_ops import unfold
 
 
@@ -56,20 +58,145 @@ def test_svd_wide_well_conditioned_matches_lapack(m, widen, cond, exp2, seed, da
     np.testing.assert_allclose(proj, proj_ref, rtol=0, atol=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(2, 6), st.floats(2.0, 100.0),
+       st.integers(-600, 600), st.integers(0, 2 ** 32 - 1), st.data())
+def test_svd_tall_well_conditioned_matches_lapack(n, widen, cond, exp2, seed, data):
+    # the transposes of the wide test's inputs, factorized through a^T a
+    rng = np.random.default_rng(seed)
+    s_true = np.geomspace(1.0, 1.0 / cond, n)
+    base = _wide_with_spectrum(rng, s_true, widen * n).T
+    a = np.ldexp(base, exp2)
+    u_got, s_got = svd(a)
+    u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+    np.testing.assert_allclose(s_got, s_ref, rtol=1e-10, atol=0)
+    r = data.draw(st.integers(1, n))
+    proj = u_got[:, :r] @ u_got[:, :r].T
+    proj_ref = u_ref[:, :r] @ u_ref[:, :r].T
+    np.testing.assert_allclose(proj, proj_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(u_got.T @ u_got, np.eye(n), rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(s_got, np.ldexp(svd(base)[1], exp2))
+
+
+def _refined_lapack_s(a):
+    """LAPACK's spectrum of a with every value past the first recomputed by
+    a second LAPACK SVD of a projected off its leading singular vector. One
+    call errs by ~eps * s_max in absolute terms, 1.3e-10 relative at
+    s / s_max = 1e-6 as measured against 50-digit references; the refined
+    values stayed within ~1e-11 of those."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    rest = a @ vt[1:].T if a.shape[0] > a.shape[1] else u[:, 1:].T @ a
+    return np.concatenate((s[:1], np.linalg.svd(rest, compute_uv=False)))
+
+
+def _assert_matches_lapack(a):
+    """s within 1e-10 relative of LAPACK's, u^T u within 1e-10 of I, and the
+    projectors on the leading r columns within 1e-10 wherever s_r - s_(r+1)
+    >= 1e-4 s_max, so that LAPACK's own projector is good to ~eps * 1e4."""
+    u_got, s_got = svd(a)
+    u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+    np.testing.assert_allclose(s_got, _refined_lapack_s(a), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(u_got.T @ u_got, np.eye(s_got.size), rtol=0, atol=1e-10)
+    gaps = s_ref - np.append(s_ref[1:], 0.0)
+    for r in np.flatnonzero(gaps >= 1e-4 * s_ref[0]) + 1:
+        proj = u_got[:, :r] @ u_got[:, :r].T
+        proj_ref = u_ref[:, :r] @ u_ref[:, :r].T
+        np.testing.assert_allclose(proj, proj_ref, rtol=0, atol=1e-10)
+
+
+def _rejected_spectrum(kind, m, draw):
+    """A spectrum with 1e-12 < lambda_min / lambda_max < 1e-6 whose values
+    above s_min * 1e3 sit more than sqrt(2) above the rest."""
+    if kind == "cluster":  # one dominant value over a tight cluster
+        k = draw(st.floats(3.1, 5.9))
+        return np.concatenate(([1.0], 10.0 ** -k * (1 + 1e-3 * np.linspace(-1, 1, m - 1))))
+    if kind == "geometric":  # m = 6 puts s_3 at s_min * 1e3, on the split,
+        # where roundoff in the first lambda_min picks the route
+        return np.geomspace(1.0, 1e-5, m if m != 6 else 7)
+    j = draw(st.integers(1, m - 1))  # mixed: a spread head over a spread tail
+    head = np.geomspace(1.0, 10.0 ** -draw(st.floats(0.0, 1.0)), j)
+    tail = np.geomspace(1.0, 10.0 ** draw(st.floats(0.0, 1.5)), m - j)[::-1]
+    return np.concatenate((head, 10.0 ** -draw(st.floats(4.6, 5.9)) * tail))
+
+
+def _linalg_calls(mp):
+    """The numpy.linalg.svd and eigh calls made from now on, as (name, shape
+    of the input) pairs."""
+    calls = []
+
+    def spy(name):
+        fn = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "eigh"):
+        mp.setattr(np.linalg, name, spy(name))
+    return calls
+
+
+@pytest.mark.parametrize("tall", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["cluster", "geometric", "mixed"]), st.integers(3, 10),
+       st.integers(2, 6), st.integers(-600, 600), st.integers(0, 2 ** 32 - 1), st.data())
+def test_svd_deflated_route_matches_lapack(tall, kind, m, widen, exp2, seed, data):
+    # the plain Gram gate rejects these spectra; the deflated route, not
+    # LAPACK, must factorize them: one eigh of the Gram matrix, one of the
+    # deflated block
+    rng = np.random.default_rng(seed)
+    spectrum = _rejected_spectrum(kind, m, data.draw)
+    a = _wide_with_spectrum(rng, spectrum, widen * spectrum.size)
+    a = np.ldexp(a.T if tall else a, exp2)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _linalg_calls(mp)
+        svd(a)
+    assert [name for name, _ in calls] == ["eigh", "eigh"]
+    _assert_matches_lapack(a)
+
+
 def test_svd_wide_rank_deficient_takes_lapack_path():
     # exactly or nearly rank-deficient wide inputs fail the Gram conditioning
-    # gate and must come back bit for bit as LAPACK computes them; the last
-    # one (s_min / s_max = 1e-5) would lose ~6 digits of s_min on the Gram path
+    # gate and its deflation, and must come back bit for bit as LAPACK
+    # computes them
     rng = np.random.default_rng(3)
     low_rank = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 50))
     dup_row = rng.standard_normal((4, 30))
     dup_row[3] = dup_row[0]
-    ill = _wide_with_spectrum(rng, np.geomspace(1.0, 1e-5, 6), 60)
-    for a in (low_rank, dup_row, np.full((4, 16), 7.0), np.zeros((3, 12)), ill):
+    for a in (low_rank, dup_row, np.full((4, 16), 7.0), np.zeros((3, 12))):
         u_got, s_got = svd(a)
         u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
         np.testing.assert_array_equal(s_got, s_ref)
         np.testing.assert_array_equal(u_got, u_ref)
+    # s_min / s_max = 1e-5 fails the plain gate (the Gram path would lose ~6
+    # digits of s_min) but is deflated, and agrees with LAPACK to 1e-10
+    ill = _wide_with_spectrum(rng, np.geomspace(1.0, 1e-5, 6), 60)
+    _assert_matches_lapack(ill)
+
+
+@pytest.mark.parametrize("shape, ranks, sigma", [((100, 100, 100), (5, 5, 5), 0.1),
+                                                 ((16, 16, 1024), (3, 3, 3), 0.25)])
+def test_low_noise_unfoldings_stay_off_lapack(shape, ranks, sigma, monkeypatch):
+    # a constant mean of 10 over noise this low puts lambda_min / lambda_max of
+    # every unfolding (the 1024 x 256 one tall) near 1e-6, where the plain
+    # Gram gate may reject it; the deflated route takes what it rejects
+    y = add_gaussian_noise(gen_lowrank_tensor(shape, ranks, 10.0, 2.0, 1), sigma, 2)
+    calls = _linalg_calls(monkeypatch)
+    report = tarst(y, MedianBased())
+    assert [shape for name, shape in calls if name == "svd"] == []
+    assert report.estimated_ranks == tuple(r + 1 for r in ranks)
+
+
+@pytest.mark.parametrize("kind", ["noiseless low-rank", "constant", "zero"])
+def test_rank_deficient_unfoldings_still_reach_lapack(kind, monkeypatch):
+    # a 4 x 4 x 64 tensor unfolds to two wide matrices and a tall one
+    shape = (4, 4, 64)
+    y = {"noiseless low-rank": gen_lowrank_tensor(shape, (2, 2, 2), 10.0, 2.0, 1),
+         "constant": np.full(shape, 7.0), "zero": np.zeros(shape)}[kind]
+    calls = _linalg_calls(monkeypatch)
+    tarst(y, MedianBased())
+    assert [shape for name, shape in calls if name == "svd"] == [(4, 256), (4, 256), (64, 16)]
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300])
