@@ -58,9 +58,9 @@ CSV_COLUMNS = ("method", "N", "dims", "sigma", "outlier_ratio", "outlier_scale",
                "seed", "rrse", "ranks", "wall_time_ms", "svd_calls")
 
 
-def default_sigma_grid(points: int = 20):
-    """Log-spaced noise grid over [0.1, 10]."""
-    return tuple(float(s) for s in np.logspace(-1.0, 1.0, points))
+def default_sigma_grid():
+    """20 log-spaced noise levels over [0.1, 10]."""
+    return tuple(float(s) for s in np.logspace(-1.0, 1.0, 20))
 
 
 def default_true_ranks(shape):

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .svht import _bisect
-from .tensor_ops import _in_range, _norm
+from .tensor_ops import _BLOCK, _in_range, _norm
 
 __all__ = ["SummaryStat", "rrse", "summarize"]
 
@@ -20,9 +20,6 @@ class SummaryStat:
     ci95_low: float
     ci95_high: float
     n: int
-
-
-_BLOCK = 1 << 14  # entries per block of rrse's sums: the buffer stays in cache
 
 
 def _blocks(shape):
@@ -63,8 +60,9 @@ def rrse(est, truth) -> float:
     The benchmark literature calls this "RRSE" although the ratio is not
     squared; this implements the operative formula. Undefined (raises) for
     zero-norm truth. One pass streams both operands with no full-size
-    temporary: each block of at most ``_BLOCK`` entries, cut by the shape
-    alone, is gathered from the truth into one small buffer, its squares
+    temporary: each block of at most ``tensor_ops._BLOCK`` entries (the
+    budget of ``reconstruct``'s last product too), cut by the shape alone,
+    is gathered from the truth into one reused buffer, its squares
     summed, ``est - truth`` formed in place there and summed too. So the
     result has the same bits whatever the memory layout of either input.
     A norm outside [2**-450, inf) is taken again with ``frobenius_norm``'s

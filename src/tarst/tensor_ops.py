@@ -15,7 +15,9 @@ decompositions call after validating their input once: a HOOI sweep pays
 no per-product checks. ``mode_product`` returns a permuted view of its
 product; ``multi_mode_product`` writes its last product straight in C order,
 so the tensors built from it (``reconstruct``, the benchmark generator) are
-C-contiguous.
+C-contiguous. ``_BLOCK`` is the one block budget of the tail after a
+factorization: that last product goes in row blocks of at most ``_BLOCK``
+output entries, and ``metrics.rrse`` sums in blocks of at most as many.
 
 Modes are 0-indexed here and in the CLI's error messages; the CLI's denoise
 report numbers them from 1.
@@ -39,13 +41,7 @@ __all__ = [
 ]
 
 
-# multi_mode_product writes its last product in row blocks of whole
-# _PANEL-row panels, as many as fit in _PRODUCT_BLOCK output entries. 384 rows
-# is the row panel of OpenBLAS's dgemm on AVX-512 cores: with one BLAS thread,
-# such blocks kept the bits of one call on 300 random shapes, while blocks of
-# 256, 512 or 1000 rows changed some entries' last bit on 10-15% of them.
-_PANEL = 384
-_PRODUCT_BLOCK = 1 << 17
+_BLOCK = 1 << 17  # float64 entries (1 MiB) per block of the tail's streams
 
 
 def _as_float_array(t) -> np.ndarray:
@@ -168,14 +164,12 @@ def multi_mode_product(t, factors) -> np.ndarray:
     C order as ``m @ U_{N-1}^T``, m the running tensor viewed as
     prod(rest) x r_{N-1} (gathered first when it is a permuted view, a copy
     whose last extent is the rank, not the output's extent). That product
-    fills one preallocated output in row blocks, one ``np.dot`` each: whole
-    ``_PANEL``-row panels, as many as fit in ``_PRODUCT_BLOCK`` output
-    entries (at least one), the last block also taking the rows left over,
-    so no block is a short tail. With one OpenBLAS thread on its AVX-512
-    dgemm kernel every entry has the bits of one ``np.dot(m, U_{N-1}.T)``;
-    with more threads, or another kernel, the blocks may round some entries
-    apart from it in the last bit. The result equals the mode-by-mode chain
-    up to roundoff: whether the bits match depends on the BLAS kernel.
+    fills one preallocated output in row blocks of at most ``_BLOCK``
+    entries (at least one row), one ``np.dot`` each. When it fits in one
+    block it is one ``np.dot(m, U_{N-1}.T)``, bit for bit; otherwise it is
+    deterministic for a fixed BLAS build and thread count and equals that
+    one call up to roundoff. The result equals the mode-by-mode chain up
+    to roundoff.
     """
     a = _as_float_array(t)
     factors = list(factors)
@@ -188,13 +182,10 @@ def multi_mode_product(t, factors) -> np.ndarray:
     rest = out.shape[:-1]
     n = math.prod(rest)
     m = out.reshape(n, u.shape[1])  # copies a permuted view
-    step = _PANEL * max(1, _PRODUCT_BLOCK // (_PANEL * max(1, u.shape[0])))
+    step = max(1, _BLOCK // max(1, u.shape[0]))
     res = np.empty((n, u.shape[0]))
-    i = 0
-    while i < n:
-        j = n if n < i + 2 * step else i + step  # the last block takes the rest
-        np.dot(m[i:j], u.T, out=res[i:j])
-        i = j
+    for i in range(0, n, step):
+        np.dot(m[i:i + step], u.T, out=res[i:i + step])
     return res.reshape(rest + (u.shape[0],))
 
 

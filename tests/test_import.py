@@ -104,7 +104,7 @@ def test_package_exports_exactly_the_module_lists():
             assert getattr(tarst, attr) is getattr(module, attr)
 
 
-# the settable surface: dataclass fields and the decompositions' parameters
+# the settable surface: dataclass fields and function parameters
 FIELDS = {
     "TuckerModel": ["core", "factors", "svd_calls", "fits"],
     "TarstReport": ["model", "thresholds"],
@@ -115,6 +115,7 @@ FIELDS = {
                        "seed", "methods", "sigma_known", "outlier_ratios", "outlier_scales"],
 }
 PARAMETERS = {
+    "default_sigma_grid": [],
     "hosvd": ["y", "ranks"],
     "hooi": ["y", "ranks", "tol", "max_iter"],
     "tarst": ["y", "rule"],

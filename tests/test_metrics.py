@@ -165,12 +165,14 @@ def _layouts(t):
     return out
 
 
-@pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2), (40, 30, 20)])
+@pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2), (40, 30, 20),
+                                   (70, 50, 40)])
 @pytest.mark.parametrize("c", [1.0, 2.0 ** -600, 1e300])
 def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
     # reconstruct returns C order; _layouts adds Fortran order and two
     # permuted views of each operand. The sums run in C order whatever the
-    # layout, so every value is the same bits
+    # layout, so every value is the same bits; (70, 50, 40) spans several
+    # blocks of tensor_ops._BLOCK entries
     rng = np.random.default_rng(23)
     truth = rng.standard_normal(shape)
     y = truth + 0.1 * rng.standard_normal(shape)

@@ -5,11 +5,7 @@ C order, last fastest) is frozen here against hand-expanded matrices, and
 the algebraic identities are exercised under randomized inputs.
 """
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +14,8 @@ from hypothesis import given, settings
 from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
 from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
-from tarst.tensor_ops import (_PANEL, _PRODUCT_BLOCK, fold, frobenius_norm, mode_product,
-                              multi_mode_product, unfold)
+from tarst.tensor_ops import (_BLOCK, fold, frobenius_norm, mode_product, multi_mode_product,
+                              unfold)
 
 # t[i, j, k] = 1 + 4i + 2j + k, so each unfolding below can be checked by eye
 T222 = np.arange(1.0, 9.0).reshape(2, 2, 2)
@@ -252,52 +248,60 @@ def test_multi_mode_product_matches_sequential():
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
 
 
-def _last_products():
-    """(got, want) pairs: multi_mode_product against one np.dot for its last
-    product, at row counts of block - 1, block, block + 1, 2 block + 1 and
-    3 block - 1 (block = whole _PANEL-row panels in _PRODUCT_BLOCK entries),
-    and at 30^4."""
-    rng = np.random.default_rng(29)
-    extent = 285  # wide enough that 256-row blocks would round apart
-    block = _PANEL * max(1, _PRODUCT_BLOCK // (_PANEL * extent))
-    t = rng.standard_normal((5, 10))
-    for blocks, extra in [(1, -1), (1, 0), (1, 1), (2, 1), (3, -1)]:
-        us = [rng.standard_normal((blocks * block + extra, 5)),
-              rng.standard_normal((extent, 10))]
-        yield multi_mode_product(t, us), np.dot(mode_product(t, us[0], 0), us[1].T)
-    core = rng.standard_normal((6, 6, 6, 6))
-    us = [np.linalg.qr(rng.standard_normal((30, 6)))[0] for _ in range(4)]
+def _last_product(core, us):
+    """multi_mode_product(core, us) and one np.dot for its last product."""
     m = core
-    for k in range(3):
+    for k in range(core.ndim - 1):
         m = mode_product(m, us[k], k)
-    yield (multi_mode_product(core, us),
-           np.dot(m.reshape(30 ** 3, 6), us[3].T).reshape(30, 30, 30, 30))
+    rest = m.shape[:-1]
+    want = np.dot(m.reshape(-1, m.shape[-1]), us[-1].T).reshape(rest + (us[-1].shape[0],))
+    return multi_mode_product(core, us), want
+
+
+def test_multi_mode_product_one_block_has_the_bits_of_one_dot():
+    # a last product of at most _BLOCK output entries is one np.dot call
+    rng = np.random.default_rng(31)
+    extent = 285
+    rows = _BLOCK // extent
+    cases = [((5, 10), [(rows, 5), (extent, 10)]), ((6, 1, 5), [(6, 6), (1, 1), (5, 5)]),
+             ((3, 3, 3), [(10, 3)] * 3), ((5, 5, 5), [(50, 5)] * 3), ((7,), [(9, 7)])]
+    for shape, factors in cases:
+        core = rng.standard_normal(shape)
+        got, want = _last_product(core, [rng.standard_normal(f) for f in factors])
+        assert got.size <= _BLOCK
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def _multi_block_products():
+    """(core, factors) whose last product spans several row blocks (with a
+    short last block, with one-row blocks for a 3 x 140000 output, and at
+    30^4), and 1-way inputs whose contracted or output extent is 200000."""
+    rng = np.random.default_rng(29)
+    extent = 285
+    step = _BLOCK // extent
+    t = rng.standard_normal((5, 10))
+    for rows in (step + 1, 2 * step, 3 * step - 7):
+        yield t, [rng.standard_normal((rows, 5)), rng.standard_normal((extent, 10))]
+    yield rng.standard_normal((2, 4)), [rng.standard_normal((3, 2)),
+                                        rng.standard_normal((140000, 4))]
+    yield rng.standard_normal((6, 6, 6, 6)), [np.linalg.qr(rng.standard_normal((30, 6)))[0]
+                                              for _ in range(4)]
+    yield rng.standard_normal(200000), [rng.standard_normal((3, 200000))]
+    yield rng.standard_normal(4), [rng.standard_normal((200000, 4))]
 
 
 def test_multi_mode_product_last_product_matches_one_dot():
-    for got, want in _last_products():
+    # past one block the row blocks equal one np.dot up to roundoff, and a
+    # second call gives the same bits
+    for core, us in _multi_block_products():
+        got, want = _last_product(core, us)
         assert got.flags.c_contiguous and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        assert multi_mode_product(core, us).tobytes() == got.tobytes()
     # a last factor with no rows gives an empty result, not a zero division
     core = np.ones((6, 6, 6, 6))
     us = [np.ones((30, 6))] * 3 + [np.zeros((0, 6))]
     assert multi_mode_product(core, us).shape == (30, 30, 30, 0)
-
-
-def test_multi_mode_product_last_product_has_the_bits_of_one_dot_on_one_blas_thread():
-    # the row blocks keep every bit of one np.dot only with one BLAS thread
-    # (on OpenBLAS's AVX-512 dgemm, whose row panel is _PANEL): with more
-    # threads a block can round apart, so this runs in a pinned interpreter
-    tests = Path(__file__).resolve().parent
-    program = (f"import sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
-               "from test_tensor_ops import _last_products\n"
-               "print(*[g.tobytes() == w.tobytes() for g, w in _last_products()])")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True"] * 6
 
 
 def test_multi_mode_product_needs_one_factor_per_mode():
