@@ -10,27 +10,33 @@ Reconstruction always uses the truncated factors: the estimate is the input
 projected onto the retained left singular subspaces,
 ``x_hat = y x_1 (U1 U1^T) ... x_N (UN UN^T)``.
 
-Each public function validates its input once and then unfolds and
+Each public function converts its input once and then unfolds and
 multiplies with the unchecked kernels of ``tensor_ops``. HOSVD (also HOOI's
-start) and TARST share one per-mode loop, ``_truncated_tucker``: unfold,
-factorize into ``(u, s)`` with :func:`~tarst.linalg.svd`, keep the columns
-of u up to the rank a callback picks from s; TARST's reads the cutoff off the
-sorted s with the one cutoff kernel of ``svht``. HOOI's sweeps factorize
-their projections with the same ``svd``, which checks each one for
-overflow. Each model counts the factorizations that built it in
-``svd_calls``: N for HOSVD and TARST, N more per HOOI sweep.
+start) and TARST share one per-mode loop, ``_truncated_tucker``: factorize
+each mode's unfolding into ``(u, s)``, keep the columns of u up to the rank
+a callback picks from s; TARST's reads the cutoff off the sorted s with the
+one cutoff kernel of ``svht``. Mode 0 goes first, and its factorization
+checks every entry, so it is the input's finiteness check. A wide middle
+mode, whose unfolding would be a full-size copy, is factorized from its
+Gram matrix (``linalg._gram_svd``), formed for all of them in one pass over
+cache-sized slabs (``tensor_ops._grams``); every other mode goes through
+:func:`~tarst.linalg.svd`. HOOI's sweeps factorize their projections with
+the same ``svd``, which checks each one for overflow. Each model counts the
+factorizations that built it in ``svd_calls``: N for HOSVD and TARST, N
+more per HOOI sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import svd
+from .linalg import _gram_svd, svd
 from .svht import KnownSigma, MedianBased, _cutoff
-from .tensor_ops import (_as_float_array, _as_int, _check_ranks, _mode_product, _unfolding,
-                         frobenius_norm, multi_mode_product)
+from .tensor_ops import (_as_float_array, _as_int, _check_ranks, _grams, _mode_product,
+                         _unfolding, frobenius_norm, multi_mode_product)
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
 
@@ -77,13 +83,6 @@ class TarstReport:
         return tuple(min(i, p // i) - r for i, r in zip(self.model.shape, self.model.ranks))
 
 
-def _validated(y) -> np.ndarray:
-    a = _as_float_array(y)
-    if not np.isfinite(a).all():
-        raise ValueError("input tensor has non-finite entries")
-    return a
-
-
 def reconstruct(model: TuckerModel) -> np.ndarray:
     """Expand a Tucker model back to a full tensor, in C order; a core and
     factors that do not fit raise :func:`multi_mode_product`'s errors."""
@@ -91,14 +90,27 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
 
 
 def _truncated_tucker(a, rank_of) -> TuckerModel:
-    """Per mode: unfold, factorize, keep the leading ``rank_of(k, m, s)``
-    left singular vectors of the mode-k unfolding m with spectrum s; the
-    core is ``a`` contracted with every factor's transpose."""
-    factors = []
+    """Per mode, keep the leading ``rank_of(k, cols, s)`` left singular
+    vectors of the mode-k unfolding, of I_k rows, ``cols`` columns and
+    spectrum s; the core is ``a`` contracted with every factor's transpose.
+    A non-finite entry raises ValueError at mode 0, before any other mode
+    is factorized."""
+    cols = [math.prod(a.shape[:k] + a.shape[k + 1:]) for k in range(a.ndim)]
+    middle = [k for k in range(1, a.ndim - 1) if 0 < 2 * a.shape[k] <= cols[k]]
+    grams, factors = {}, []
     for k in range(a.ndim):
-        m = _unfolding(a, k)
-        u, s = svd(m)
-        factors.append(u[:, :rank_of(k, m, s)])
+        if k == 1 and middle:
+            grams = _grams(a, middle)
+        if k in grams:
+            u, s = _gram_svd(grams.pop(k), lambda: _unfolding(a, k))
+        else:
+            try:
+                u, s = svd(_unfolding(a, k))
+            except np.linalg.LinAlgError:
+                raise
+            except ValueError:  # svd's one other error: mode 0 sees a non-finite entry
+                raise ValueError("input tensor has non-finite entries") from None
+        factors.append(u[:, :rank_of(k, cols[k], s)])
     core = a
     with np.errstate(over="ignore"):  # hosvd reports an overflowing core
         for k, u in enumerate(factors):
@@ -117,9 +129,9 @@ def hosvd(y, ranks) -> TuckerModel:
     the ranks actually returned. A core that overflows float64 (entries
     near 1.8e308) raises FloatingPointError.
     """
-    a = _validated(y)
+    a = _as_float_array(y)
     ranks = _check_ranks(a.shape, ranks)
-    model = _truncated_tucker(a, lambda k, m, s: ranks[k])
+    model = _truncated_tucker(a, lambda k, cols, s: ranks[k])
     if not np.isfinite(model.core).all():
         raise FloatingPointError("HOSVD core overflows float64")
     return model
@@ -150,14 +162,14 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     Frobenius norm overflows, at the end of the first sweep, since no fit
     could be formed against it.
     """
-    a = _validated(y)
+    a = _as_float_array(y)
     ranks = _check_ranks(a.shape, ranks)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if _as_int(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
-    start = _truncated_tucker(a, lambda k, m, s: ranks[k])  # HOSVD
+    start = _truncated_tucker(a, lambda k, cols, s: ranks[k])  # HOSVD
     factors = list(start.factors)
     ynorm = frobenius_norm(a)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
@@ -210,11 +222,11 @@ def tarst(y, rule: KnownSigma | MedianBased) -> TarstReport:
     cutoff that overflows float64 (entries or sigma near 1.8e308) raises
     FloatingPointError naming the mode.
     """
-    a = _validated(y)
+    a = _as_float_array(y)
     taus = []
 
-    def rank_of(k, m, s):
-        tau = float(_cutoff(m.shape[0], m.shape[1], rule, s))
+    def rank_of(k, cols, s):
+        tau = float(_cutoff(a.shape[k], cols, rule, s))
         if not np.isfinite(tau):  # entries or sigma near the float maximum
             raise FloatingPointError(f"threshold of the mode-{k} unfolding overflows float64")
         taus.append(tau)

@@ -1,14 +1,18 @@
 """Thin-SVD contract shared by the thresholding and decomposition code.
 
-One function, :func:`svd`, is the package's only factorization entry point:
-HOSVD, TARST and HOOI's sweeps all call it. It returns the pair ``(u, s)``,
-the left singular vectors and the full spectrum of an m x n matrix, all
-that the callers read (no ``vt``). It is a pure function: the module holds
-no state, and the callers count their own factorizations
-(``TuckerModel.svd_calls``). It checks finiteness on every call, because a
-projection of a finite input can overflow. On the Gram routes a non-finite
-entry shows on the diagonal of the Gram matrix, so the input gets an
-``isfinite`` pass only when that diagonal is not finite.
+:func:`svd` is the package's factorization entry point: HOSVD, TARST and
+HOOI's sweeps call it. It returns the pair ``(u, s)``, the left singular
+vectors and the full spectrum of an m x n matrix, all that the callers read
+(no ``vt``). Its second half, ``_gram_svd``, is the factor step of the Gram
+routes: it takes a Gram matrix already formed, and reads the matrix itself
+only on the paths that need its entries. HOSVD and TARST hand it the Gram
+matrices of the wide middle-mode unfoldings, which ``tensor_ops._grams``
+forms without copying those unfoldings whole. Both are pure functions: the
+module holds no state, and the callers count their own factorizations
+(``TuckerModel.svd_calls``). ``svd`` checks finiteness on every call,
+because a projection of a finite input can overflow. On the Gram routes a
+non-finite entry shows on the diagonal of the Gram matrix, so the input
+gets an ``isfinite`` pass only when that diagonal is not finite.
 
 Three routes compute the same factor:
 
@@ -98,11 +102,16 @@ def svd(m):
         raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
     rows, cols = a.shape
     if 0 < 2 * rows <= cols or 0 < 2 * cols <= rows:
-        got = _gram_svd(a, tall=rows > cols)
-        if got is not None:
-            return got
-    elif not np.isfinite(a).all():
+        tall = rows > cols
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            g = _gram(a, tall)  # scaled later instead of a: no scan, no copy of the data
+        return _gram_svd(g, lambda: a, tall)
+    if not np.isfinite(a).all():
         raise ValueError("svd input has non-finite entries")
+    return _lapack(a)
+
+
+def _lapack(a):
     return np.linalg.svd(a, full_matrices=False)[:2]
 
 
@@ -119,18 +128,21 @@ def _gated(lam):
     return lam[-1] >= _GRAM_RCOND * lam[0] > 0
 
 
-def _gram_svd(a, tall):
-    """``(u, s)`` of a from the Gram matrix of its short side, or None when
-    the gates reject it; raises on a non-finite entry."""
+def _gram_svd(g, data, tall=False):
+    """:func:`svd` of the matrix ``data()`` from g, the Gram matrix of its
+    short side (``a a^T``, or ``a^T a`` when ``tall``): the Gram routes, or
+    LAPACK when both gates reject g; raises on a non-finite entry.
+    ``data()`` is called only where the entries are read: a Gram matrix
+    outside the scaling range, deflation, a tall u and LAPACK."""
     # overflow and underflow are scaled away or left as inf, which tarst reports
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        g = _gram(a, tall)  # scaled below instead of a: no scan, no copy of the data
         d = g.diagonal().max()  # NaN or inf for a non-finite entry or on overflow
         if 2.0 ** -900 < d < 2.0 ** 900:
             e = np.frexp(np.sqrt(d))[1]
             g = np.ldexp(g, -2 * e)
-            b, f = a, e  # g is the Gram matrix of b * 2**-f
-        else:  # the Gram matrix over- or underflowed, or a is zero or not finite
+            b, f = None, e  # g is the Gram matrix of data() * 2**-f
+        else:  # the Gram matrix over- or underflowed, or the data is zero or not finite
+            a = data()
             if not d < np.inf and not np.isfinite(a).all():
                 raise ValueError("svd input has non-finite entries")
             e = np.frexp(max(a.max(), -a.min()))[1]
@@ -142,14 +154,17 @@ def _gram_svd(a, tall):
             k = np.count_nonzero(lam > lam[-1] / _GRAM_RCOND)
             if not (lam[-1] >= _DEFLATE_RCOND * lam[0] > 0
                     and lam[k - 1] >= _DEFLATE_GAP * lam[k]):
-                return None
+                return _lapack(data())
+        if b is None and (k or tall):
+            b = data()
+        if k:
             # the data on the other eigenvectors, scaled as g: its Gram matrix
             # no longer carries the k leading eigenvalues' roundoff
             rest = v[:, k:]
             c = np.ldexp(rest, -f)
             mu, w = _eigh_desc(_gram(b @ c if tall else c.T @ b, tall))
             if not _gated(mu):
-                return None
+                return _lapack(data())
             lam = np.concatenate((lam[:k], mu))
             v = np.concatenate((v[:, :k], rest @ w), axis=1)
         root = np.sqrt(lam)

@@ -15,9 +15,11 @@ decompositions call after validating their input once: a HOOI sweep pays
 no per-product checks. ``mode_product`` returns a permuted view of its
 product; ``multi_mode_product`` writes its last product straight in C order,
 so the tensors built from it (``reconstruct``, the benchmark generator) are
-C-contiguous. ``_BLOCK`` is the one block budget of the tail after a
-factorization: that last product goes in row blocks of at most ``_BLOCK``
-output entries, and ``metrics.rrse`` sums in blocks of at most as many.
+C-contiguous. ``_BLOCK`` is the package's one block budget: ``_grams``
+forms the Gram matrices of middle-mode unfoldings from slabs of at most
+``_BLOCK`` entries, that last product goes in row blocks of at most
+``_BLOCK`` output entries, and ``metrics.rrse`` sums in blocks of at most
+as many.
 
 Modes are 0-indexed here and in the CLI's error messages; the CLI's denoise
 report numbers them from 1.
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-_BLOCK = 1 << 17  # float64 entries (1 MiB) per block of the tail's streams
+_BLOCK = 1 << 16  # float64 entries (512 KiB) per block of a streamed pass
 
 
 def _as_float_array(t) -> np.ndarray:
@@ -102,6 +104,29 @@ def _unfolding(a: np.ndarray, mode: int) -> np.ndarray:
     shape = a.shape
     rest = shape[:mode] + shape[mode + 1:]
     return a.transpose(_axes(a.ndim, mode)[0]).reshape(shape[mode], math.prod(rest))
+
+
+def _grams(a: np.ndarray, modes) -> dict:
+    """``{k: Y_k Y_k^T}`` for the mode-k unfoldings Y_k of a validated array,
+    each k >= 1 in ``modes``, from one pass over slabs of consecutive mode-0
+    slices of at most ``_BLOCK`` entries (at least one slice). A slab's
+    mode-k unfolding holds a run of Y_k's columns, so each product copies a
+    cache-sized slab and never Y_k whole; the first slab's Gram matrix is
+    assigned and the others added. A tensor of one slab gives ``m @ m.T``
+    of the whole unfolding m, bit for bit; more slabs give it up to the
+    roundoff of the sum. An overflowing entry is left as inf."""
+    step = max(1, _BLOCK // math.prod(a.shape[1:]))
+    grams = {}
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for i in range(0, a.shape[0], step):
+            slab = a[i:i + step]
+            for k in modes:
+                m = _unfolding(slab, k)
+                if i:
+                    grams[k] += m @ m.T
+                else:
+                    grams[k] = m @ m.T
+    return grams
 
 
 def _mode_product(a: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:

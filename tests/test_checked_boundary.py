@@ -185,17 +185,20 @@ def test_bench_records_bit_identical_to_checked_reference(cfg, runner, monkeypat
 
 
 def _count_factorizations(monkeypatch):
-    """Wrap ``decomp``'s one factorization binding, ``svd``, which the
-    per-mode loop and HOOI's sweeps both call, in a call counter."""
+    """Wrap ``decomp``'s two factorization bindings in one call counter:
+    ``svd``, which the per-mode loop and HOOI's sweeps call, and
+    ``_gram_svd``, the factor step the per-mode loop calls with the Gram
+    matrix of a wide middle mode."""
     calls = [0]
 
     def counting(f):
-        def wrapped(m):
+        def wrapped(*args):
             calls[0] += 1
-            return f(m)
+            return f(*args)
         return wrapped
 
     monkeypatch.setattr(decomp, "svd", counting(decomp.svd))
+    monkeypatch.setattr(decomp, "_gram_svd", counting(decomp._gram_svd))
     return calls
 
 
@@ -252,6 +255,9 @@ BOUNDARY = [
     (lambda: hosvd(_Z, (3, 1)), ValueError, "rank 3 out of range [1, 2] for mode 0"),
     (lambda: hosvd(_Z, (1, 0)), ValueError, "rank 0 out of range [1, 3] for mode 1"),
     (lambda: hooi([[np.inf]], (1, 1)), ValueError, "input tensor has non-finite entries"),
+    # the finiteness check is mode 0's factorization, after the argument checks
+    (lambda: hosvd([[np.nan, 1.0]], (2, 1)), ValueError, "rank 2 out of range [1, 1] for mode 0"),
+    (lambda: hooi([[np.nan]], (1, 1), tol=0), ValueError, "tol must be positive, got 0"),
     (lambda: hooi(_Z, (3, 1), tol=0), ValueError, "rank 3 out of range [1, 2] for mode 0"),
     (lambda: hooi(_Z, (1, 1), tol=0), ValueError, "tol must be positive, got 0"),
     (lambda: hooi(_Z, (1, 1), max_iter=0), ValueError, "max_iter must be >= 1, got 0"),

@@ -7,6 +7,7 @@ pinned at fixed seeds.
 """
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_checked_boundary import _ref_tarst, _same_model
-from tarst import decomp, svht
+from test_checked_boundary import _count_factorizations, _ref_hosvd, _ref_tarst, _same_model
+from tarst import svht
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
 from tarst.linalg import svd
 from tarst.svht import KnownSigma, MedianBased
@@ -415,6 +416,50 @@ def test_tarst_validation():
                 tarst(np.zeros(shape), rule)
 
 
+@pytest.mark.parametrize("shape, ranks", [((70, 50, 40), (4, 3, 5)),
+                                          ((30, 30, 30, 30), (3, 2, 4, 3))])
+def test_multi_slab_middle_modes_match_the_unfolding_svd(shape, ranks):
+    # the wide middle modes of these tensors are factorized from Gram
+    # matrices summed over several slabs (32, 32 and 6 slices at 70 x 50 x
+    # 40, 15 slabs of 2 at 30^4); ranks, thresholds and estimates must
+    # match svd(unfold(y, k)) on every mode to the Gram gate's 1e-10
+    rng = np.random.default_rng(41)
+    x = random_tucker(rng, shape, ranks, 400.0)
+    y = x + rng.standard_normal(shape)
+    for rule in (MedianBased(), KnownSigma(1.0)):
+        report = tarst(y, rule)
+        model, taus, want_ranks, _ = _ref_tarst(y, rule)
+        assert report.estimated_ranks == want_ranks == ranks
+        np.testing.assert_allclose(report.thresholds, taus, rtol=1e-10, atol=0)
+        want = reconstruct(model)
+        assert rel_err(reconstruct(report.model), want) < 1e-10
+    # scaled so far that the slab sums overflow or underflow: the factor
+    # step rescales the data instead, with no numpy warning
+    for c in (2.0 ** 600, 2.0 ** -600):
+        report = tarst(c * y, MedianBased())
+        assert report.estimated_ranks == ranks
+        np.testing.assert_allclose(np.array(report.thresholds) / c,
+                                   _ref_tarst(y, MedianBased())[1], rtol=1e-10, atol=0)
+    want = reconstruct(_ref_hosvd(y, ranks))
+    assert rel_err(reconstruct(hosvd(y, ranks)), want) < 1e-10
+
+
+def test_tarst_makes_no_full_size_copy():
+    # a middle-mode unfolding is copied one slab at a time (~0.06x of a
+    # 100^3 input); a copy of the whole unfolding would show as a peak of
+    # ~1x the input's size
+    rng = np.random.default_rng(42)
+    y = random_tucker(rng, (100, 100, 100), (5, 5, 5), 100.0) + rng.standard_normal((100,) * 3)
+    tarst(y, MedianBased())  # warm up lazy numpy set-up outside the traced call
+    tracemalloc.start()
+    try:
+        tarst(y, MedianBased())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * y.nbytes
+
+
 # ----------------------------------------------------------- cutoff kernel
 
 @settings(max_examples=300, deadline=None)
@@ -553,13 +598,7 @@ def test_hosvd_overflowing_core_raises_floating_point_error():
 def test_hooi_overflowing_core_raises_at_the_first_sweep(monkeypatch):
     # every projection of the first sweep is finite (peak 1.4e308), its core
     # 7e307 * 2**1.5 is not; HOOI stops there with no numpy warning
-    calls = [0]
-
-    def counted(m):
-        calls[0] += 1
-        return svd(m)
-
-    monkeypatch.setattr(decomp, "svd", counted)
+    calls = _count_factorizations(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match=r"^HOOI core overflows float64$"):
@@ -574,13 +613,7 @@ def test_hooi_overflowing_input_norm_raises_at_the_first_sweep(monkeypatch, rank
     # 0.0 (ranks 1); HOOI stops after one sweep with no numpy warning
     y = np.zeros((2, 2, 2))
     y[0, 0, 0] = y[1, 1, 1] = 1.5e308
-    calls = [0]
-
-    def counted(m):
-        calls[0] += 1
-        return svd(m)
-
-    monkeypatch.setattr(decomp, "svd", counted)
+    calls = _count_factorizations(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match=r"^HOOI input norm overflows float64$"):

@@ -2,11 +2,11 @@
 
 Every Pattern 1 and Pattern 2 acceptance input (2200 tensors, rebuilt from
 the master seed as ``run_pattern2`` builds them) is denoised under both
-threshold rules twice: with the package's ``svd`` (the Gram path on these
-wide unfoldings) and with plain LAPACK. The ranks must agree exactly; the
-thresholds and estimates within 1e-10 relative, the agreement of the two
-paths at the Gram conditioning gate. A kernel change that keeps this test
-green changes no rank decision on the acceptance data.
+threshold rules twice: with the package's factorization (the Gram path on
+these wide unfoldings) and with plain LAPACK on every mode. The ranks must
+agree exactly; the thresholds and estimates within 1e-10 relative, the
+agreement of the two paths at the Gram conditioning gate. A kernel change
+that keeps this test green changes no rank decision on the acceptance data.
 
 A property adds the symmetries of the rank decision on small random
 tensors: permuting the modes permutes the ranks, and reversing the index
@@ -71,6 +71,11 @@ def _lapack_svd(m):
     return np.linalg.svd(m, full_matrices=False)[:2]
 
 
+def _lapack_gram_svd(g, data, tall=False):
+    """The per-mode loop's Gram factor step, replaced by LAPACK on its matrix."""
+    return _lapack_svd(data())
+
+
 def test_ranks_do_not_depend_on_the_svd_kernel(monkeypatch):
     count, mismatches = 0, []
     for cfg in CONFIGS:
@@ -81,6 +86,7 @@ def test_ranks_do_not_depend_on_the_svd_kernel(monkeypatch):
             reports = [tarst(y, rule) for rule in rules]
             with monkeypatch.context() as mp:
                 mp.setattr(decomp, "svd", _lapack_svd)
+                mp.setattr(decomp, "_gram_svd", _lapack_gram_svd)
                 refs = [tarst(y, rule) for rule in rules]
             for rule, ours, ref in zip(rules, reports, refs):
                 est, est_ref = reconstruct(ours.model), reconstruct(ref.model)

@@ -5,6 +5,7 @@ C order, last fastest) is frozen here against hand-expanded matrices, and
 the algebraic identities are exercised under randomized inputs.
 """
 
+import math
 import re
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
 from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
-from tarst.tensor_ops import (_BLOCK, fold, frobenius_norm, mode_product, multi_mode_product,
-                              unfold)
+from tarst import tensor_ops
+from tarst.tensor_ops import (_BLOCK, _grams, fold, frobenius_norm, mode_product,
+                              multi_mode_product, unfold)
 
 # t[i, j, k] = 1 + 4i + 2j + k, so each unfolding below can be checked by eye
 T222 = np.arange(1.0, 9.0).reshape(2, 2, 2)
@@ -264,12 +266,49 @@ def test_multi_mode_product_one_block_has_the_bits_of_one_dot():
     extent = 285
     rows = _BLOCK // extent
     cases = [((5, 10), [(rows, 5), (extent, 10)]), ((6, 1, 5), [(6, 6), (1, 1), (5, 5)]),
-             ((3, 3, 3), [(10, 3)] * 3), ((5, 5, 5), [(50, 5)] * 3), ((7,), [(9, 7)])]
+             ((3, 3, 3), [(10, 3)] * 3), ((5, 5, 5), [(40, 5)] * 3), ((7,), [(9, 7)])]
     for shape, factors in cases:
         core = rng.standard_normal(shape)
         got, want = _last_product(core, [rng.standard_normal(f) for f in factors])
         assert got.size <= _BLOCK
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, modes, block", [
+    ((7, 5, 6), (1,), 60),  # slabs of 2, 2, 2 and a short last slab of 1 slice
+    ((7, 5, 6), (1, 2), 10),  # one-slice slabs: a slice exceeds the budget
+    ((5, 3, 4, 2), (1, 2), 20),  # 4-way: one pass serves both middle modes
+    ((4, 1, 6, 3), (1, 2), 40),  # an extent-1 middle mode
+    ((9, 6, 1), (1,), 13),
+    ((70, 50, 40), (1,), None),  # the package's budget: slabs of 32, 32 and 6 slices
+])
+def test_grams_match_the_gram_matrix_of_the_whole_unfolding(shape, modes, block, monkeypatch):
+    # the slab sums equal m @ m.T of the whole unfolding up to the roundoff
+    # of the sum, with every slab's columns counted once
+    if block is not None:
+        monkeypatch.setattr(tensor_ops, "_BLOCK", block)
+    assert math.prod(shape) > tensor_ops._BLOCK
+    a = np.random.default_rng(37).standard_normal(shape)
+    grams = _grams(a, modes)
+    assert sorted(grams) == sorted(modes)
+    for k in modes:
+        m = unfold(a, k)
+        want = m @ m.T
+        np.testing.assert_allclose(grams[k], want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape, modes", [((10, 10, 10), (1,)), ((5, 4, 3, 6), (1, 2)),
+                                          ((3, 1, 7), (1,))])
+def test_grams_of_one_slab_have_the_bits_of_the_whole_unfolding(shape, modes, monkeypatch):
+    # a tensor of at most _BLOCK entries, here also exactly _BLOCK, is one
+    # slab: each Gram matrix is m @ m.T of the unfolding m, bit for bit
+    a = np.random.default_rng(38).standard_normal(shape)
+    for block in (_BLOCK, a.size):
+        monkeypatch.setattr(tensor_ops, "_BLOCK", block)
+        grams = _grams(a, modes)
+        for k in modes:
+            m = unfold(a, k)
+            assert grams[k].tobytes() == (m @ m.T).tobytes()
 
 
 def _multi_block_products():
