@@ -7,21 +7,23 @@ Subcommands:
   bench-p2    outlier-robustness grid benchmark, CSV out
 
 Exit codes: 0 success, 1 usage error, 2 tensor parse error, 3 numeric
-failure, 4 I/O error. The denoise report numbers modes from 1; error
-messages from the library keep the API's 0-indexed modes.
+failure, 4 I/O error. The denoise report numbers modes from 1, library
+errors from 0. ``summarize`` gives the bench tables' means and 95% CIs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import bench
 from .decomp import reconstruct, tarst
-from .metrics import summarize
-from .svht import KnownSigma, MedianBased, lambda_star, mp_median, omega
+from .svht import KnownSigma, MedianBased, _bisect, lambda_star, mp_median, omega
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 
 EXIT_OK = 0
@@ -98,6 +100,57 @@ def cmd_thresholds(ns) -> int:
     mu = mp_median(ns.beta)
     print(f"lambda_star={lam:.6f} mp_median={mu:.6f} omega={omega(ns.beta):.6f}")
     return EXIT_OK
+
+
+@dataclass(frozen=True)
+class SummaryStat:
+    mean: float
+    ci95_low: float
+    ci95_high: float
+    n: int
+
+
+@lru_cache(maxsize=None)
+def _t975(nu: int) -> float:
+    """Student-t quantile t_{0.975, nu}, integer nu >= 1: bisects the
+    closed-form P(|T| <= t) = 0.95 (Abramowitz & Stegun 26.7.3-4, nu // 2
+    terms of a series in cos^2 theta, theta = atan(t / sqrt(nu))) on
+    [0, 16]. Multiplying by cos^2 as 1 - sin^2 keeps a rounded cos^2 near 1
+    from biasing the result by ~nu * eps. O(nu) per step, so cached per nu.
+    """
+    odd = nu % 2
+
+    def below(t):
+        s2 = t * t / (nu + t * t)
+        term, total = (math.sqrt(nu / (nu + t * t)) if odd else 1.0), 0.0
+        for j in range(nu // 2):
+            total += term
+            term *= (2 * j + 1 + odd) / (2 * j + 2 + odd)
+            term -= term * s2
+        p = t / math.sqrt(nu + t * t) * total
+        if odd:
+            p = (math.atan2(t, math.sqrt(nu)) + p) * (2.0 / math.pi)
+        return p < 0.95
+
+    return _bisect(below, 0.0, 16.0)
+
+
+def summarize(samples) -> SummaryStat:
+    """Mean with a 95% Student-t confidence interval.
+
+    CI = mean ± t_{0.975, n-1} * sd / sqrt(n); a single sample degenerates
+    to a point interval. The t quantile inverts the closed-form t
+    distribution (``_t975``), so no statistics library is needed.
+    """
+    arr = np.asarray(list(samples), dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("cannot summarize an empty sample")
+    mean = float(arr.mean())
+    n = int(arr.size)
+    if n == 1:
+        return SummaryStat(mean=mean, ci95_low=mean, ci95_high=mean, n=1)
+    half = _t975(n - 1) * float(arr.std(ddof=1)) / math.sqrt(n)
+    return SummaryStat(mean=mean, ci95_low=mean - half, ci95_high=mean + half, n=n)
 
 
 def _summary_table(records) -> str:

@@ -183,7 +183,9 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
                     w = _mode_product(w, factors[j].T, j)
                 try:
                     factors[k] = svd(_unfolding(w, k))[0][:, :ranks[k]]
-                except ValueError:  # svd's one error here: a non-finite projection
+                except np.linalg.LinAlgError:
+                    raise
+                except ValueError:  # svd's one other error: a non-finite projection
                     raise FloatingPointError("HOOI projection overflows float64") from None
                 prefix = _mode_product(prefix, factors[k].T, k)
             fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core

@@ -1,25 +1,14 @@
-"""Error metric and summary statistics for the benchmark harness."""
+"""The error metric: the relative reconstruction error ``rrse``."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .svht import _bisect
 from .tensor_ops import _BLOCK, _in_range, _norm
 
-__all__ = ["SummaryStat", "rrse", "summarize"]
-
-
-@dataclass(frozen=True)
-class SummaryStat:
-    mean: float
-    ci95_low: float
-    ci95_high: float
-    n: int
+__all__ = ["rrse"]
 
 
 def _blocks(shape):
@@ -83,46 +72,3 @@ def rrse(est, truth) -> float:
     if denom == 0.0:
         raise ValueError("rrse is undefined for zero-norm truth")
     return num / denom
-
-
-@lru_cache(maxsize=None)
-def _t975(nu: int) -> float:
-    """Student-t quantile t_{0.975, nu}, integer nu >= 1: bisects the
-    closed-form P(|T| <= t) = 0.95 (Abramowitz & Stegun 26.7.3-4, nu // 2
-    terms of a series in cos^2 theta, theta = atan(t / sqrt(nu))) on
-    [0, 16]. Multiplying by cos^2 as 1 - sin^2 keeps a rounded cos^2 near 1
-    from biasing the result by ~nu * eps. O(nu) per step, so cached per nu.
-    """
-    odd = nu % 2
-
-    def below(t):
-        s2 = t * t / (nu + t * t)
-        term, total = (math.sqrt(nu / (nu + t * t)) if odd else 1.0), 0.0
-        for j in range(nu // 2):
-            total += term
-            term *= (2 * j + 1 + odd) / (2 * j + 2 + odd)
-            term -= term * s2
-        p = t / math.sqrt(nu + t * t) * total
-        if odd:
-            p = (math.atan2(t, math.sqrt(nu)) + p) * (2.0 / math.pi)
-        return p < 0.95
-
-    return _bisect(below, 0.0, 16.0)
-
-
-def summarize(samples) -> SummaryStat:
-    """Mean with a 95% Student-t confidence interval.
-
-    CI = mean ± t_{0.975, n-1} * sd / sqrt(n); a single sample degenerates
-    to a point interval. The t quantile inverts the closed-form t
-    distribution (``_t975``), so no statistics library is needed.
-    """
-    arr = np.asarray(list(samples), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    mean = float(arr.mean())
-    n = int(arr.size)
-    if n == 1:
-        return SummaryStat(mean=mean, ci95_low=mean, ci95_high=mean, n=1)
-    half = _t975(n - 1) * float(arr.std(ddof=1)) / math.sqrt(n)
-    return SummaryStat(mean=mean, ci95_low=mean - half, ci95_high=mean + half, n=n)

@@ -8,8 +8,7 @@ import pytest
 from conftest import read_records
 
 from tarst.bench import METHODS
-from tarst.cli import main
-from tarst.metrics import summarize
+from tarst.cli import main, summarize
 from tarst.tensor_io import read_tensor, write_tensor
 
 

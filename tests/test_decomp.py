@@ -621,6 +621,24 @@ def test_hooi_overflowing_input_norm_raises_at_the_first_sweep(monkeypatch, rank
     assert calls[0] == 3 + 3  # the HOSVD start and one sweep
 
 
+def test_hooi_passes_lapack_non_convergence_through(monkeypatch):
+    # LinAlgError subclasses ValueError, so the sweep's overflow report must
+    # let it through unchanged, as the per-mode loop of the HOSVD start does
+    real, calls = np.linalg.svd, [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    y = np.random.default_rng(73).standard_normal((10, 10, 10))
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^SVD did not converge$"):
+        hooi(y, (3, 3, 3))
+    assert calls[0] == 2
+
+
 def test_tarst_median_overflow_leaves_known_sigma_alone():
     # the spectrum itself is finite, so a small sigma still thresholds it
     assert tarst(_near_float_max("median"), KnownSigma(1.0)).estimated_ranks == (10, 10, 10)

@@ -7,6 +7,7 @@ a fresh interpreter in which importing scipy fails.
 import dataclasses
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ import numpy as np
 import tarst, tarst.cli
 y = np.random.default_rng(0).standard_normal((6, 5, 4)) + 3.0
 tarst.reconstruct(tarst.tarst(y, tarst.MedianBased()).model)
-print(tarst.summarize([0.0, 2.0]))
+print(tarst.cli.summarize([0.0, 2.0]))
 with tempfile.TemporaryDirectory() as tmp:
     src, dst, csv = (os.path.join(tmp, f) for f in ("in.txt", "out.txt", "p1.csv"))
     tarst.write_tensor(y, src)
@@ -69,7 +70,7 @@ PUBLIC = {
     "tarst.cli": None,
     "tarst.decomp": ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"],
     "tarst.linalg": ["svd"],
-    "tarst.metrics": ["SummaryStat", "rrse", "summarize"],
+    "tarst.metrics": ["rrse"],
     "tarst.svht": [
         "KnownSigma", "MedianBased", "lambda_star",
         "mp_median", "omega", "threshold_for_unfolding", "hard_threshold",
@@ -90,7 +91,27 @@ def test_public_api_is_pinned(name):
         assert not attr.startswith("_")
 
 
-MODULES = ["bench", "decomp", "linalg", "metrics", "svht", "tensor_io", "tensor_ops"]
+MODULES = ["decomp", "linalg", "metrics", "svht", "tensor_io", "tensor_ops"]
+
+NAMESPACE = f"""
+import json, sys, types
+sys.path.insert(0, {str(SRC)!r})
+import tarst
+loaded = [m for m in ("tarst.bench", "tarst.cli") if m in sys.modules]
+stray = [a for a in dir(tarst) if not a.startswith("_") and a not in tarst.__all__
+         and not (isinstance(getattr(tarst, a), types.ModuleType)
+                  and getattr(tarst, a).__name__ == "tarst." + a)]
+from tarst import bench
+print(json.dumps({{"loaded": loaded, "names": len(tarst.__all__), "stray": stray,
+                  "bench": sorted(set(bench.__all__) & set(tarst.__all__))}}))
+"""
+
+
+def test_import_tarst_leaves_the_harness_and_the_cli_unloaded():
+    # a fresh interpreter, so no other test has imported either submodule
+    out = json.loads(subprocess.run([sys.executable, "-c", NAMESPACE], capture_output=True,
+                                    text=True, check=True).stdout)
+    assert out == {"loaded": [], "names": 24, "stray": [], "bench": []}
 
 
 def test_package_exports_exactly_the_module_lists():
@@ -120,15 +141,18 @@ PARAMETERS = {
     "hooi": ["y", "ranks", "tol", "max_iter"],
     "tarst": ["y", "rule"],
 }
+# the defining module of each pinned name that the package does not export
+HOME = {"Pattern1Config": "tarst.bench", "TrialRecord": "tarst.bench",
+        "default_sigma_grid": "tarst.bench", "SummaryStat": "tarst.cli"}
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_dataclass_fields_are_pinned(name):
-    cls = getattr(importlib.import_module("tarst"), name)
+    cls = getattr(importlib.import_module(HOME.get(name, "tarst")), name)
     assert [f.name for f in dataclasses.fields(cls)] == FIELDS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETERS))
 def test_decomposition_parameters_are_pinned(name):
-    func = getattr(importlib.import_module("tarst"), name)
+    func = getattr(importlib.import_module(HOME.get(name, "tarst")), name)
     assert list(inspect.signature(func).parameters) == PARAMETERS[name]

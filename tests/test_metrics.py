@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarst.cli import SummaryStat, summarize
 from tarst.decomp import reconstruct, tarst
-from tarst.metrics import SummaryStat, rrse, summarize
+from tarst.metrics import rrse
 from tarst.svht import KnownSigma, mp_median, omega
 from tarst.tensor_ops import frobenius_norm
 
