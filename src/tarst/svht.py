@@ -200,11 +200,14 @@ def threshold_for_unfolding(m: int, n: int, rule: KnownSigma | MedianBased, s=No
 def hard_threshold(s, tau: float):
     """Zero out values below tau, keep the rest unchanged (boundary inclusive).
 
+    ``s`` is a one-dimensional, nonincreasing spectrum without NaN.
     Returns ``(kept, rank)`` with ``rank = #{i : s[i] >= tau}``.
     """
     arr = np.asarray(s, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("spectrum must be one-dimensional")
+    if np.isnan(arr).any():
+        raise ValueError("spectrum has NaN entries")
     if arr.size > 1 and np.any(np.diff(arr) > 0):
         raise ValueError("spectrum must be nonincreasing")
     if not (math.isfinite(tau) and tau > 0):

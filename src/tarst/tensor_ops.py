@@ -18,8 +18,9 @@ so the tensors built from it (``reconstruct``, the benchmark generator) are
 C-contiguous. ``_BLOCK`` is the package's one block budget: ``_grams``
 forms the Gram matrices of middle-mode unfoldings from slabs of at most
 ``_BLOCK`` entries, that last product goes in row blocks of at most
-``_BLOCK`` output entries, and ``metrics.rrse`` sums in blocks of at most
-as many.
+``_BLOCK`` output entries, and ``_sums_of_squares``, the one
+sum-of-squares kernel behind ``frobenius_norm`` (so HOOI's fit) and
+``metrics.rrse``, sums in blocks of at most as many.
 
 Modes are 0-indexed here and in the CLI's error messages; the CLI's denoise
 report numbers them from 1.
@@ -214,31 +215,67 @@ def multi_mode_product(t, factors) -> np.ndarray:
     return res.reshape(rest + (u.shape[0],))
 
 
+def _blocks(shape):
+    """Index tuples cutting an array of ``shape``, in C order, into runs of
+    whole sub-arrays over its trailing axes of at most ``_BLOCK`` entries:
+    one strided view each, whatever the layout."""
+    if math.prod(shape) <= _BLOCK:
+        yield ()
+        return
+    k = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= _BLOCK)
+    run = _BLOCK // math.prod(shape[k:])
+    for lead in np.ndindex(*shape[:k - 1]):
+        for j in range(0, shape[k - 1], run):
+            yield lead + (slice(j, j + run),)
+
+
+def _sums_of_squares(x: np.ndarray, e: np.ndarray | None = None) -> tuple:
+    """(sum of x**2, sum of (e - x)**2 or 0.0 without e), one ``dot`` per
+    block of :func:`_blocks` over its entries in C order: ``ravel`` reads a
+    C-contiguous block of x in place and gathers any other one, and
+    ``e - x`` is formed in one reused buffer. So the sums have the same
+    bits whatever the layout of x and e."""
+    buf = None if e is None else np.empty(min(x.size, _BLOCK))
+    sx = sd = 0.0
+    with np.errstate(over="ignore"):
+        for idx in _blocks(x.shape):
+            xb = x[idx]
+            v = xb.ravel()
+            sx += v.dot(v)
+            if e is not None:
+                d = buf[:xb.size]
+                np.subtract(e[idx], xb, out=d.reshape(xb.shape))
+                sd += d.dot(d)
+    return float(sx), float(sd)
+
+
 def _in_range(r: float) -> bool:
     """Whether a plain norm is finite and >= 2**-450, so no square that matters is subnormal."""
     return 2.0 ** -450 <= r < math.inf
 
 
-def _norm(x: np.ndarray, r: float, sum_sq) -> float:
-    """The norm of x whose plain value ``r = sqrt(sum_sq(x))`` is not
-    :func:`_in_range`: ``sqrt(sum_sq)`` of x scaled exactly by the power of
-    two putting its peak in [1/2, 1) (as in ``linalg.svd``'s fallback),
-    scaled back, so exact under power-of-two scales; ``r`` itself when the
-    peak is zero, inf or nan."""
+def _norm(x: np.ndarray, r: float) -> float:
+    """The norm of x whose plain value ``r``, the root of
+    :func:`_sums_of_squares`, is not :func:`_in_range`: the same root over
+    x scaled exactly by the power of two putting its peak in [1/2, 1) (as
+    in ``linalg.svd``'s fallback), scaled back, so exact under power-of-two
+    scales; ``r`` itself when the peak is zero, inf or nan."""
     peak = np.abs(x).max(initial=0.0)
     if not 0 < peak < math.inf:
         return r
     e = math.frexp(peak)[1]
     with np.errstate(over="ignore"):  # a norm past the top scales back to inf
-        return float(np.ldexp(math.sqrt(sum_sq(np.ldexp(x, -e))), e))
+        return float(np.ldexp(math.sqrt(_sums_of_squares(np.ldexp(x, -e))[0]), e))
 
 
 def frobenius_norm(t) -> float:
-    """sqrt of the sum of squared entries: the plain ``sqrt(x . x)`` over the
-    C-order entries, with :func:`_norm`'s exact power-of-two fallback when
-    it is not :func:`_in_range`, so
+    """sqrt of the sum of squared entries, from :func:`_sums_of_squares`,
+    the kernel ``metrics.rrse`` sums through too. Up to ``_BLOCK`` entries
+    that is the plain ``sqrt(x . x)`` over the C-order entries, bit for
+    bit; above, one ``dot`` per block, added up, with the same bits for any
+    layout and no full-size copy. A result not :func:`_in_range` is taken
+    again by :func:`_norm`'s exact power-of-two fallback, so
     ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit."""
-    x = np.asarray(t, dtype=np.float64).ravel()
-    with np.errstate(over="ignore"):
-        r = math.sqrt(x.dot(x))
-    return r if _in_range(r) else _norm(x, r, lambda b: b.dot(b))
+    x = np.asarray(t, dtype=np.float64)
+    r = math.sqrt(_sums_of_squares(x)[0])
+    return r if _in_range(r) else _norm(x, r)

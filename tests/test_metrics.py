@@ -167,13 +167,15 @@ def _layouts(t):
 
 
 @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2), (40, 30, 20),
-                                   (70, 50, 40)])
+                                   (70, 50, 40), (3, 70000), (200000,)])
 @pytest.mark.parametrize("c", [1.0, 2.0 ** -600, 1e300])
 def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
     # reconstruct returns C order; _layouts adds Fortran order and two
     # permuted views of each operand. The sums run in C order whatever the
-    # layout, so every value is the same bits; (70, 50, 40) spans several
-    # blocks of tensor_ops._BLOCK entries
+    # layout, so every value is the same bits; the last three shapes span
+    # several blocks of tensor_ops._BLOCK entries. rrse and frobenius_norm
+    # sum through one kernel, so rrse is the ratio of the two norms, bit
+    # for bit, in and out of the plain norm's range
     rng = np.random.default_rng(23)
     truth = rng.standard_normal(shape)
     y = truth + 0.1 * rng.standard_normal(shape)
@@ -185,6 +187,7 @@ def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
         assert frobenius_norm(e).hex() == want_e.hex()
         for x in _layouts(truth):
             assert rrse(e, x).hex() == want.hex()
+            assert (frobenius_norm(e - x) / frobenius_norm(x)).hex() == want.hex()
     for x in _layouts(truth):
         assert frobenius_norm(x).hex() == want_x.hex()
 
@@ -235,19 +238,29 @@ def test_mp_median_and_omega_bits_are_pinned(beta):
     assert (mp_median(beta).hex(), omega(beta).hex()) == MP_MEDIAN_BITS[beta]
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_rrse_makes_no_full_size_copy(layout):
-    # rrse streams both operands through one small buffer, whatever their
-    # layout: a copy of the truth, or a full-size difference, would show as
-    # a peak of ~1x its size
-    rng = np.random.default_rng(25)
-    truth = np.asarray(rng.standard_normal((100, 100, 100)), order=layout)
-    est = truth + 0.1 * rng.standard_normal(truth.shape)
-    rrse(est, truth)  # warm up lazy numpy set-up outside the traced call
+def _traced_peak(f, *args):
+    """The tracemalloc peak of f(*args), called once untraced first to warm
+    up lazy numpy set-up."""
+    f(*args)
     tracemalloc.start()
     try:
-        rrse(est, truth)
-        peak = tracemalloc.get_traced_memory()[1]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * truth.nbytes
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "view"])
+def test_rrse_makes_no_full_size_copy(layout):
+    # rrse and frobenius_norm stream their operands block by block,
+    # whatever their layout: a copy of the truth, or a full-size
+    # difference, would show as a peak of ~1x its size
+    rng = np.random.default_rng(25)
+    truth = rng.standard_normal((100, 100, 100))
+    if layout == "view":
+        truth = np.ascontiguousarray(truth.transpose(2, 0, 1)).transpose(1, 2, 0)
+    else:
+        truth = np.asarray(truth, order=layout)
+    est = truth + 0.1 * rng.standard_normal(truth.shape)
+    assert _traced_peak(rrse, est, truth) < 0.25 * truth.nbytes
+    assert _traced_peak(frobenius_norm, truth) < 0.25 * truth.nbytes

@@ -403,3 +403,8 @@ def test_hard_threshold_validation():
         hard_threshold(np.eye(2), 1.0)
     with pytest.raises(ValueError, match="threshold must be"):
         hard_threshold(np.array([1.0]), 0.0)
+    # np.diff is never > 0 at a NaN, so [1, nan, 2] used to pass as
+    # nonincreasing and come back as ([1, 0, 2], 2)
+    for s in ([1.0, np.nan, 2.0], [np.nan], [3.0, 2.0, np.nan]):
+        with pytest.raises(ValueError, match="^spectrum has NaN entries$"):
+            hard_threshold(s, 0.5)
