@@ -38,7 +38,9 @@ Three routes compute the same factor:
   about 20x less time on a 100 x 10000 input and 2.5x on a 2000 x 400 one.
 * **Deflated Gram route**, for Gram spectra the conditioning gate below
   rejects, but only when lambda_min >= 1e-12 lambda_max and the k
-  eigenvalues above lambda_min / 1e-6 sit at least 2x above the rest. The
+  eigenvalues above lambda_min / 1e-6 sit at least 2x above the rest.
+  lambda_min is taken less its roundoff, q eps lambda_max, so a value
+  within roundoff of that split counts among the k. The
   data is projected on the remaining q - k eigenvectors, the Gram matrix
   of that block is formed from the projected data and diagonalized, and
   the result is accepted under the same gate. Low-noise unfoldings with a
@@ -55,8 +57,9 @@ result is therefore accepted only when lambda_min >= ``_GRAM_RCOND`` *
 lambda_max, where s agrees with LAPACK to ~1e-10 relative. The deflated
 block's Gram matrix never holds the k leading components, so its
 eigenvalues carry an absolute error of ~eps * lambda_(k+1) instead of
-eps * lambda_max, and the block passes the same gate by construction (up
-to roundoff in the first lambda_min): its lambda_min / lambda_(k+1) >= 1e-6.
+eps * lambda_max, and the block passes the same gate by construction: its
+lambda_min / lambda_(k+1) >= 1e-6, since the split was lowered by the
+first lambda_min's roundoff.
 The k leading eigenvalues keep the first eigensolve's error, eps *
 lambda_max <= 1e6 eps * lambda_k, as at the plain gate. On a tall
 input the leading columns' roundoff leaks into ``a v_i / s_i`` for the
@@ -151,7 +154,10 @@ def _gram_svd(g, data, tall=False):
         lam, v = _eigh_desc(g)
         k = 0
         if not _gated(lam):
-            k = np.count_nonzero(lam > lam[-1] / _GRAM_RCOND)
+            # lam[-1] carries the solve's roundoff, ~q eps lam[0]: a value that
+            # close to the split leads too, so the deflated block passes the
+            # gate; the last one never leads
+            k = np.count_nonzero(lam[:-1] * _GRAM_RCOND > lam[-1] - lam.size * 2.0 ** -52 * lam[0])
             if not (lam[-1] >= _DEFLATE_RCOND * lam[0] > 0
                     and lam[k - 1] >= _DEFLATE_GAP * lam[k]):
                 return _lapack(data())

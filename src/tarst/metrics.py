@@ -18,12 +18,16 @@ def rrse(est, truth) -> float:
     squared; this implements the operative formula. Undefined (raises) for
     zero-norm truth. Both norms come from one pass of ``frobenius_norm``'s
     kernel, ``tensor_ops._sums_of_squares``, with no full-size temporary:
-    per block of at most ``tensor_ops._BLOCK`` entries, cut by the shape
-    alone, it reads the truth in place (gathering a block that is not
-    C-contiguous), sums its squares, forms ``est - truth`` in one reused
-    buffer and sums those too. So the result has the same bits
-    whatever the memory layout of either input, and equals
-    ``frobenius_norm(est - truth) / frobenius_norm(truth)`` bit for bit.
+    per slab of ``tensor_ops._slabs``, a run of whole mode-0 slices of at
+    most ``tensor_ops._BLOCK`` entries (at least one slice), cut by the
+    shape alone, it reads a C-contiguous slab of the truth in place and
+    forms ``est - truth`` in one reused buffer, or gathers any other slab
+    once into a copy and forms the difference in place there, and sums the
+    squares of both. So the result has the same bits whatever the memory
+    layout of either input, and equals
+    ``frobenius_norm(est - truth) / frobenius_norm(truth)`` bit for bit. No
+    copy is larger than one slab, a whole slice where a slice exceeds
+    ``_BLOCK``.
     A norm outside [2**-450, inf) is taken again with ``frobenius_norm``'s
     exact power-of-two scaling over the same blocks; for the difference
     norm (0, or below 2**-450, as when est equals truth) that path forms
@@ -34,10 +38,8 @@ def rrse(est, truth) -> float:
     if e.shape != x.shape:
         raise ValueError(f"shape mismatch: {e.shape} vs {x.shape}")
     sx, sd = _sums_of_squares(x, e)
-    denom, num = math.sqrt(sx), math.sqrt(sd)
-    if not _in_range(denom):
-        denom = _norm(x, denom)
-    if not _in_range(num):
+    denom, num = _norm(x, math.sqrt(sx)), math.sqrt(sd)
+    if not _in_range(num):  # only then is e - x formed whole
         num = _norm(e - x, num)
     if denom == 0.0:
         raise ValueError("rrse is undefined for zero-norm truth")

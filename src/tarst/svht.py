@@ -136,7 +136,6 @@ def _bisect(below, lo: float, hi: float) -> float:
             hi = mid
 
 
-@lru_cache(maxsize=None)
 def mp_median(beta: float) -> float:
     """Median of the Marchenko-Pastur distribution with aspect ratio beta.
 
@@ -145,17 +144,26 @@ def mp_median(beta: float) -> float:
     of the closed-form CDF, computed, never tabulated, and within a few ulps
     of the exact median for every beta in (0, 1].
 
-    Cached per beta; the cache is safe to share across threads because the
-    function is pure.
+    Cached per beta, keyed on ``float(beta)``, so any real scalar, a 0-d
+    array included, is accepted; ``mp_median.cache_info()`` reports the
+    cache. The cache is safe to share across threads because the function
+    is pure.
     """
-    b = _check_beta(beta)
+    return _mp_median(_check_beta(beta))
+
+
+@lru_cache(maxsize=None)
+def _mp_median(b: float) -> float:
     return _bisect(lambda x: mp_cdf(x, b) < 0.5,
                    (1.0 - math.sqrt(b)) ** 2, (1.0 + math.sqrt(b)) ** 2)
 
 
+mp_median.cache_info = _mp_median.cache_info
+
+
 def omega(beta: float) -> float:
     """Median-based threshold multiplier lambda*(beta) / sqrt(mp_median(beta))."""
-    return lambda_star(beta) / math.sqrt(mp_median(float(beta)))  # a hashable cache key
+    return lambda_star(beta) / math.sqrt(mp_median(beta))
 
 
 def _cutoff(m: int, n: int, rule: KnownSigma | MedianBased, s) -> float:

@@ -15,12 +15,13 @@ decompositions call after validating their input once: a HOOI sweep pays
 no per-product checks. ``mode_product`` returns a permuted view of its
 product; ``multi_mode_product`` writes its last product straight in C order,
 so the tensors built from it (``reconstruct``, the benchmark generator) are
-C-contiguous. ``_BLOCK`` is the package's one block budget: ``_grams``
-forms the Gram matrices of middle-mode unfoldings from slabs of at most
-``_BLOCK`` entries, that last product goes in row blocks of at most
-``_BLOCK`` output entries, and ``_sums_of_squares``, the one
+C-contiguous. Every pass that streams over a tensor cuts it by one rule,
+``_slabs``: runs of whole mode-0 slices of at most ``_BLOCK`` entries, the
+package's one block budget, and at least one slice. ``_grams`` forms the
+Gram matrices of middle-mode unfoldings from such slabs, that last product
+goes in such runs of output rows, and ``_sums_of_squares``, the one
 sum-of-squares kernel behind ``frobenius_norm`` (so HOOI's fit) and
-``metrics.rrse``, sums in blocks of at most as many.
+``metrics.rrse``, sums over such slabs.
 
 Modes are 0-indexed here and in the CLI's error messages; the CLI's denoise
 report numbers them from 1.
@@ -107,20 +108,30 @@ def _unfolding(a: np.ndarray, mode: int) -> np.ndarray:
     return a.transpose(_axes(a.ndim, mode)[0]).reshape(shape[mode], math.prod(rest))
 
 
+def _slabs(shape):
+    """Indices cutting an array of ``shape`` into runs of consecutive whole
+    mode-0 slices of at most ``_BLOCK`` entries, at least one slice each, in
+    order: the package's one block rule. All runs but the last have the same
+    length. An array of at most ``_BLOCK`` entries (a 0-d one counts as one)
+    is the one index ``...``."""
+    if math.prod(shape) <= _BLOCK:
+        return (...,)
+    step = max(1, _BLOCK // math.prod(shape[1:]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
+
+
 def _grams(a: np.ndarray, modes) -> dict:
     """``{k: Y_k Y_k^T}`` for the mode-k unfoldings Y_k of a validated array,
-    each k >= 1 in ``modes``, from one pass over slabs of consecutive mode-0
-    slices of at most ``_BLOCK`` entries (at least one slice). A slab's
-    mode-k unfolding holds a run of Y_k's columns, so each product copies a
-    cache-sized slab and never Y_k whole; the first slab's Gram matrix is
-    assigned and the others added. A tensor of one slab gives ``m @ m.T``
-    of the whole unfolding m, bit for bit; more slabs give it up to the
-    roundoff of the sum. An overflowing entry is left as inf."""
-    step = max(1, _BLOCK // math.prod(a.shape[1:]))
+    each k >= 1 in ``modes``, from one pass over its :func:`_slabs`. A
+    slab's mode-k unfolding holds a run of Y_k's columns, so each product
+    copies a cache-sized slab and never Y_k whole; the first slab's Gram
+    matrix is assigned and the others added. A tensor of one slab gives
+    ``m @ m.T`` of the whole unfolding m, bit for bit; more slabs give it up
+    to the roundoff of the sum. An overflowing entry is left as inf."""
     grams = {}
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for i in range(0, a.shape[0], step):
-            slab = a[i:i + step]
+        for i, idx in enumerate(_slabs(a.shape)):
+            slab = a[idx]
             for k in modes:
                 m = _unfolding(slab, k)
                 if i:
@@ -190,8 +201,9 @@ def multi_mode_product(t, factors) -> np.ndarray:
     C order as ``m @ U_{N-1}^T``, m the running tensor viewed as
     prod(rest) x r_{N-1} (gathered first when it is a permuted view, a copy
     whose last extent is the rank, not the output's extent). That product
-    fills one preallocated output in row blocks of at most ``_BLOCK``
-    entries (at least one row), one ``np.dot`` each. When it fits in one
+    fills one preallocated prod(rest) x I_{N-1} output in the
+    :func:`_slabs` of that matrix, runs of at most ``_BLOCK`` entries (at
+    least one row), one ``np.dot`` each. When it fits in one
     block it is one ``np.dot(m, U_{N-1}.T)``, bit for bit; otherwise it is
     deterministic for a fixed BLAS build and thread count and equals that
     one call up to roundoff. The result equals the mode-by-mode chain up
@@ -208,44 +220,32 @@ def multi_mode_product(t, factors) -> np.ndarray:
     rest = out.shape[:-1]
     n = math.prod(rest)
     m = out.reshape(n, u.shape[1])  # copies a permuted view
-    step = max(1, _BLOCK // max(1, u.shape[0]))
     res = np.empty((n, u.shape[0]))
-    for i in range(0, n, step):
-        np.dot(m[i:i + step], u.T, out=res[i:i + step])
+    for idx in _slabs(res.shape):
+        np.dot(m[idx], u.T, out=res[idx])
     return res.reshape(rest + (u.shape[0],))
-
-
-def _blocks(shape):
-    """Index tuples cutting an array of ``shape``, in C order, into runs of
-    whole sub-arrays over its trailing axes of at most ``_BLOCK`` entries:
-    one strided view each, whatever the layout."""
-    if math.prod(shape) <= _BLOCK:
-        yield ()
-        return
-    k = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= _BLOCK)
-    run = _BLOCK // math.prod(shape[k:])
-    for lead in np.ndindex(*shape[:k - 1]):
-        for j in range(0, shape[k - 1], run):
-            yield lead + (slice(j, j + run),)
 
 
 def _sums_of_squares(x: np.ndarray, e: np.ndarray | None = None) -> tuple:
     """(sum of x**2, sum of (e - x)**2 or 0.0 without e), one ``dot`` per
-    block of :func:`_blocks` over its entries in C order: ``ravel`` reads a
-    C-contiguous block of x in place and gathers any other one, and
-    ``e - x`` is formed in one reused buffer. So the sums have the same
-    bits whatever the layout of x and e."""
-    buf = None if e is None else np.empty(min(x.size, _BLOCK))
+    slab of :func:`_slabs` over its entries in C order. A C-contiguous slab
+    of x is read in place, and ``e - x`` formed in one reused buffer; any
+    other slab is gathered once into a C-order copy, where ``e - x`` is then
+    formed in place. No copy is larger than a slab, and the sums have the
+    same bits whatever the layout of x and e."""
+    buf = None
     sx = sd = 0.0
     with np.errstate(over="ignore"):
-        for idx in _blocks(x.shape):
-            xb = x[idx]
-            v = xb.ravel()
-            sx += v.dot(v)
+        for idx in _slabs(x.shape):
+            xb = d = x[idx]  # no name keeps the last copy while the next is made
+            if not xb.flags.c_contiguous:
+                xb = d = xb.copy()
+            elif e is not None:
+                buf = np.empty(xb.shape) if buf is None else buf  # the first slab is the largest
+                d = buf if buf.shape == xb.shape else buf[:len(xb)]
+            sx += xb.ravel().dot(xb.ravel())
             if e is not None:
-                d = buf[:xb.size]
-                np.subtract(e[idx], xb, out=d.reshape(xb.shape))
-                sd += d.dot(d)
+                sd += np.vdot(np.subtract(e[idx], xb, out=d), d)
     return float(sx), float(sd)
 
 
@@ -255,11 +255,14 @@ def _in_range(r: float) -> bool:
 
 
 def _norm(x: np.ndarray, r: float) -> float:
-    """The norm of x whose plain value ``r``, the root of
-    :func:`_sums_of_squares`, is not :func:`_in_range`: the same root over
-    x scaled exactly by the power of two putting its peak in [1/2, 1) (as
-    in ``linalg.svd``'s fallback), scaled back, so exact under power-of-two
-    scales; ``r`` itself when the peak is zero, inf or nan."""
+    """The norm of x from its plain value ``r``, the root of
+    :func:`_sums_of_squares`: ``r`` itself when it is :func:`_in_range`;
+    otherwise the same root over x scaled exactly by the power of two
+    putting its peak in [1/2, 1) (as in ``linalg.svd``'s fallback), scaled
+    back, so exact under power-of-two scales, or ``r`` again when the peak
+    is zero, inf or nan."""
+    if _in_range(r):
+        return r
     peak = np.abs(x).max(initial=0.0)
     if not 0 < peak < math.inf:
         return r
@@ -272,10 +275,11 @@ def frobenius_norm(t) -> float:
     """sqrt of the sum of squared entries, from :func:`_sums_of_squares`,
     the kernel ``metrics.rrse`` sums through too. Up to ``_BLOCK`` entries
     that is the plain ``sqrt(x . x)`` over the C-order entries, bit for
-    bit; above, one ``dot`` per block, added up, with the same bits for any
-    layout and no full-size copy. A result not :func:`_in_range` is taken
+    bit; above, one ``dot`` per slab of :func:`_slabs` (runs of whole
+    mode-0 slices, so one slice per ``dot`` where a slice exceeds
+    ``_BLOCK``), added up, with the same bits for any layout and no copy
+    larger than one slab. A result not :func:`_in_range` is taken
     again by :func:`_norm`'s exact power-of-two fallback, so
     ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit."""
     x = np.asarray(t, dtype=np.float64)
-    r = math.sqrt(_sums_of_squares(x)[0])
-    return r if _in_range(r) else _norm(x, r)
+    return _norm(x, math.sqrt(_sums_of_squares(x)[0]))

@@ -110,9 +110,8 @@ def _rejected_spectrum(kind, m, draw):
     if kind == "cluster":  # one dominant value over a tight cluster
         k = draw(st.floats(3.1, 5.9))
         return np.concatenate(([1.0], 10.0 ** -k * (1 + 1e-3 * np.linspace(-1, 1, m - 1))))
-    if kind == "geometric":  # m = 6 puts s_3 at s_min * 1e3, on the split,
-        # where roundoff in the first lambda_min picks the route
-        return np.geomspace(1.0, 1e-5, m if m != 6 else 7)
+    if kind == "geometric":  # m = 6 puts s_3 at s_min * 1e3, on the split
+        return np.geomspace(1.0, 1e-5, m)
     j = draw(st.integers(1, m - 1))  # mixed: a spread head over a spread tail
     head = np.geomspace(1.0, 10.0 ** -draw(st.floats(0.0, 1.0)), j)
     tail = np.geomspace(1.0, 10.0 ** draw(st.floats(0.0, 1.5)), m - j)[::-1]
@@ -154,6 +153,22 @@ def test_svd_deflated_route_matches_lapack(tall, kind, m, widen, exp2, seed, dat
         svd(a)
     assert [name for name, _ in calls] == ["eigh", "eigh"]
     _assert_matches_lapack(a)
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_svd_keeps_a_value_on_the_deflation_split_on_the_gram_route(tall, monkeypatch):
+    # s = 1 ... 1e-5 over six values puts lambda_3 at lambda_min / 1e-6
+    # exactly, where the first eigensolve's roundoff on lambda_min decides
+    # the side; counted within that roundoff it leads, and the deflated
+    # block passes the gate on every seed
+    calls = _linalg_calls(monkeypatch)
+    for seed in range(200):
+        a = _wide_with_spectrum(np.random.default_rng(seed), np.geomspace(1.0, 1e-5, 6), 40)
+        a = a.T if tall else a
+        del calls[:]
+        svd(a)
+        assert [name for name, _ in calls] == ["eigh", "eigh"], seed
+        _assert_matches_lapack(a)
 
 
 def test_svd_wide_rank_deficient_takes_lapack_path():

@@ -167,13 +167,14 @@ def _layouts(t):
 
 
 @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 6, 7), (3, 4, 5, 2), (40, 30, 20),
-                                   (70, 50, 40), (3, 70000), (200000,)])
+                                   (70, 50, 40), (3, 70000), (200000,), (2, 300, 300)])
 @pytest.mark.parametrize("c", [1.0, 2.0 ** -600, 1e300])
 def test_rrse_and_norm_do_not_depend_on_layout(shape, c):
     # reconstruct returns C order; _layouts adds Fortran order and two
     # permuted views of each operand. The sums run in C order whatever the
-    # layout, so every value is the same bits; the last three shapes span
-    # several blocks of tensor_ops._BLOCK entries. rrse and frobenius_norm
+    # layout, so every value is the same bits; the last four shapes span
+    # several slabs of tensor_ops._BLOCK entries, and in (3, 70000) and
+    # (2, 300, 300) each mode-0 slice is a slab of its own. rrse and frobenius_norm
     # sum through one kernel, so rrse is the ratio of the two norms, bit
     # for bit, in and out of the plain norm's range
     rng = np.random.default_rng(23)
@@ -252,9 +253,11 @@ def _traced_peak(f, *args):
 
 @pytest.mark.parametrize("layout", ["C", "F", "view"])
 def test_rrse_makes_no_full_size_copy(layout):
-    # rrse and frobenius_norm stream their operands block by block,
-    # whatever their layout: a copy of the truth, or a full-size
-    # difference, would show as a peak of ~1x its size
+    # rrse and frobenius_norm stream their operands slab by slab, whatever
+    # their layout: a copy of the truth, or a full-size difference, would
+    # show as a peak of ~1x its size. A slab is 0.06x here, and a slab that
+    # is not C-contiguous is gathered once, where rrse then forms the
+    # difference, so no second slab-sized copy is held
     rng = np.random.default_rng(25)
     truth = rng.standard_normal((100, 100, 100))
     if layout == "view":
@@ -262,5 +265,5 @@ def test_rrse_makes_no_full_size_copy(layout):
     else:
         truth = np.asarray(truth, order=layout)
     est = truth + 0.1 * rng.standard_normal(truth.shape)
-    assert _traced_peak(rrse, est, truth) < 0.25 * truth.nbytes
-    assert _traced_peak(frobenius_norm, truth) < 0.25 * truth.nbytes
+    assert _traced_peak(rrse, est, truth) < 0.1 * truth.nbytes
+    assert _traced_peak(frobenius_norm, truth) < 0.1 * truth.nbytes

@@ -195,6 +195,21 @@ def test_mp_median_monotone_decreasing_in_beta():
     assert mp_median(1e-6) == pytest.approx(1.0, abs=1e-2)
 
 
+def test_mp_median_takes_any_real_scalar_as_its_siblings_do():
+    # a 0-d array, a numpy scalar and an int share the float's cache entry,
+    # so they add no cache misses; a bad 0-d beta gets the usual error
+    want = mp_median(0.5)
+    mp_median(1.0)
+    misses = mp_median.cache_info().misses
+    for beta in (np.array(0.5), np.float64(0.5), np.array(0.5, dtype=np.float32)):
+        assert mp_median(beta) == want
+        assert omega(beta) == omega(0.5)
+    assert mp_median(1) == mp_median(np.array(1.0)) == mp_median(1.0)
+    assert mp_median.cache_info().misses == misses
+    with pytest.raises(ValueError, match="aspect ratio"):
+        mp_median(np.array(1.5))
+
+
 def test_mp_median_monte_carlo_square():
     mu = mp_median(1.0)
     hits = 0

@@ -16,8 +16,8 @@ from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
 from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
 from tarst import tensor_ops
-from tarst.tensor_ops import (_BLOCK, _grams, fold, frobenius_norm, mode_product,
-                              multi_mode_product, unfold)
+from tarst.tensor_ops import (_BLOCK, _grams, _sums_of_squares, fold, frobenius_norm,
+                              mode_product, multi_mode_product, unfold)
 
 # t[i, j, k] = 1 + 4i + 2j + k, so each unfolding below can be checked by eye
 T222 = np.arange(1.0, 9.0).reshape(2, 2, 2)
@@ -309,6 +309,62 @@ def test_grams_of_one_slab_have_the_bits_of_the_whole_unfolding(shape, modes, mo
         for k in modes:
             m = unfold(a, k)
             assert grams[k].tobytes() == (m @ m.T).tobytes()
+
+
+@pytest.mark.parametrize("shape, block, runs", [
+    ((7, 6), 13, [2, 2, 2, 1]),  # two slices a run, a short last run
+    ((7, 6), 5, [1] * 7),  # a slice exceeds the budget: one slice a run
+    ((7, 6), 42, [7]),  # exactly the budget: one run
+    ((9, 4), 100, [9]),
+])
+def test_every_stream_cuts_the_same_runs_of_mode_0_slices(shape, block, runs, monkeypatch):
+    # _grams' slabs, the rows of each np.dot of multi_mode_product's last
+    # product, and the _sums_of_squares slabs are one rule's runs of whole
+    # mode-0 slices of an array of this shape
+    monkeypatch.setattr(tensor_ops, "_BLOCK", block)
+    rng = np.random.default_rng(39)
+    a = rng.standard_normal(shape)
+    seen = {"grams": [], "product": [], "sums": []}
+    unfolding, dot, vdot = tensor_ops._unfolding, np.dot, np.vdot
+
+    def spy_unfolding(t, mode):
+        seen["grams"].append(len(t))
+        return unfolding(t, mode)
+
+    def spy_dot(x, y, out=None):
+        if out is None:
+            return dot(x, y)
+        seen["product"].append(len(out))
+        return dot(x, y, out=out)
+
+    def spy_vdot(x, y):
+        seen["sums"].append(len(x))
+        return vdot(x, y)
+
+    monkeypatch.setattr(tensor_ops, "_unfolding", spy_unfolding)
+    _grams(a, (1,))
+    monkeypatch.setattr(tensor_ops, "_unfolding", unfolding)
+    monkeypatch.setattr(np, "dot", spy_dot)
+    core = rng.standard_normal((shape[0], 2))
+    assert multi_mode_product(core, [np.eye(shape[0]), rng.standard_normal((shape[1], 2))]
+                              ).shape == shape
+    monkeypatch.setattr(np, "vdot", spy_vdot)
+    _sums_of_squares(a, a + 1.0)
+    assert seen == {"grams": runs, "product": runs, "sums": runs}
+
+
+@pytest.mark.parametrize("shape", [(2, 300, 300), (3, 70000), (1, 270, 250)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_frobenius_norm_sums_one_dot_per_slice_past_the_budget(shape, order):
+    # a mode-0 slice of more than _BLOCK entries is one run: the norm is the
+    # root of the per-slice dot products added in order, bit for bit
+    assert math.prod(shape[1:]) > _BLOCK
+    x = np.asarray(np.random.default_rng(41).standard_normal(shape), order=order)
+    total = 0.0
+    for s in x:
+        v = s.ravel()
+        total += v.dot(v)
+    assert frobenius_norm(x) == math.sqrt(total)
 
 
 def _multi_block_products():
