@@ -10,20 +10,22 @@ Reconstruction always uses the truncated factors: the estimate is the input
 projected onto the retained left singular subspaces,
 ``x_hat = y x_1 (U1 U1^T) ... x_N (UN UN^T)``.
 
-Each public function converts its input once and then unfolds and
-multiplies with the unchecked kernels of ``tensor_ops``. HOSVD (also HOOI's
-start) and TARST share one per-mode loop, ``_truncated_tucker``: factorize
-each mode's unfolding into ``(u, s)``, keep the columns of u up to the rank
-a callback picks from s; TARST's reads the cutoff off the sorted s with the
-one cutoff kernel of ``svht``. Mode 0 goes first, and its factorization
-checks every entry, so it is the input's finiteness check. A wide middle
-mode, whose unfolding would be a full-size copy, is factorized from its
-Gram matrix (``linalg._gram_svd``), formed for all of them in one pass over
-cache-sized slabs (``tensor_ops._grams``); every other mode goes through
-:func:`~tarst.linalg.svd`. HOOI's sweeps factorize their projections with
-the same ``svd``, which checks each one for overflow. Each model counts the
-factorizations that built it in ``svd_calls``: N for HOSVD and TARST, N
-more per HOOI sweep.
+Each public function converts its input once, rejects a zero extent, and
+then unfolds and multiplies with the unchecked kernels of ``tensor_ops``.
+All three repeat one step per mode: factorize a mode-k matrix into
+``(u, s)`` and keep the leading columns of u. ``_factor`` runs it through
+:func:`~tarst.linalg.svd` and owns its error contract: numpy's
+``LinAlgError`` passes through, and ``svd``'s one other error, a
+non-finite entry, is raised as the caller's own. HOSVD (also HOOI's start)
+and TARST share one per-mode loop, ``_truncated_tucker``, where a callback
+picks each mode's rank from s; TARST's reads the cutoff off the sorted s
+with the one cutoff kernel of ``svht``. Before that loop, one pass over
+cache-sized slabs (``tensor_ops._grams``) forms the Gram matrices of the
+wide middle modes (by ``linalg._GRAM_ASPECT``), whose unfoldings would be
+full-size copies; they enter the step at ``linalg._gram_svd``. Mode 0 is
+factorized first, so it is the input's finiteness check. Each model
+counts the factorizations that built it in ``svd_calls``: N for HOSVD and
+TARST, N more per HOOI sweep.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _gram_svd, svd
+from .linalg import _GRAM_ASPECT, _gram_svd, svd
 from .svht import KnownSigma, MedianBased, _cutoff
-from .tensor_ops import (_as_float_array, _as_int, _check_ranks, _grams, _mode_product,
-                         _unfolding, frobenius_norm, multi_mode_product)
+from .tensor_ops import (_as_float_array, _as_int, _check_ranks, _check_shape, _grams,
+                         _mode_product, _unfolding, frobenius_norm, multi_mode_product)
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
 
@@ -89,27 +91,32 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
     return multi_mode_product(model.core, model.factors)
 
 
+def _factor(m, error, message):
+    """:func:`svd` of m, its one ValueError (a non-finite entry) raised as
+    ``error(message)``; numpy's LinAlgError, a ValueError too, passes
+    through unchanged."""
+    try:
+        return svd(m)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError:
+        raise error(message) from None
+
+
 def _truncated_tucker(a, rank_of) -> TuckerModel:
     """Per mode, keep the leading ``rank_of(k, cols, s)`` left singular
     vectors of the mode-k unfolding, of I_k rows, ``cols`` columns and
     spectrum s; the core is ``a`` contracted with every factor's transpose.
-    A non-finite entry raises ValueError at mode 0, before any other mode
-    is factorized."""
+    The wide middle modes' Gram matrices are formed first; a non-finite
+    entry raises ValueError at mode 0, before any mode's factor is kept."""
     cols = [math.prod(a.shape[:k] + a.shape[k + 1:]) for k in range(a.ndim)]
-    middle = [k for k in range(1, a.ndim - 1) if 0 < 2 * a.shape[k] <= cols[k]]
-    grams, factors = {}, []
+    grams = _grams(a, [k for k in range(1, a.ndim - 1) if _GRAM_ASPECT * a.shape[k] <= cols[k]])
+    factors = []
     for k in range(a.ndim):
-        if k == 1 and middle:
-            grams = _grams(a, middle)
         if k in grams:
             u, s = _gram_svd(grams.pop(k), lambda: _unfolding(a, k))
         else:
-            try:
-                u, s = svd(_unfolding(a, k))
-            except np.linalg.LinAlgError:
-                raise
-            except ValueError:  # svd's one other error: mode 0 sees a non-finite entry
-                raise ValueError("input tensor has non-finite entries") from None
+            u, s = _factor(_unfolding(a, k), ValueError, "input tensor has non-finite entries")
         factors.append(u[:, :rank_of(k, cols[k], s)])
     core = a
     with np.errstate(over="ignore"):  # hosvd reports an overflowing core
@@ -181,12 +188,8 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
                 w = prefix
                 for j in range(k + 1, a.ndim):
                     w = _mode_product(w, factors[j].T, j)
-                try:
-                    factors[k] = svd(_unfolding(w, k))[0][:, :ranks[k]]
-                except np.linalg.LinAlgError:
-                    raise
-                except ValueError:  # svd's one other error: a non-finite projection
-                    raise FloatingPointError("HOOI projection overflows float64") from None
+                factors[k] = _factor(_unfolding(w, k), FloatingPointError,
+                                     "HOOI projection overflows float64")[0][:, :ranks[k]]
                 prefix = _mode_product(prefix, factors[k].T, k)
             fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
             if not fit < np.inf and not np.isfinite(prefix).all():  # fit is nan or inf
@@ -225,6 +228,7 @@ def tarst(y, rule: KnownSigma | MedianBased) -> TarstReport:
     FloatingPointError naming the mode.
     """
     a = _as_float_array(y)
+    _check_shape(a.shape)
     taus = []
 
     def rank_of(k, cols, s):

@@ -16,7 +16,8 @@ gets an ``isfinite`` pass only when that diagonal is not finite.
 
 Three routes compute the same factor:
 
-* **Gram route**, for inputs with one side at most half the other: wide
+* **Gram route**, for inputs with one side at most half the other
+  (``_GRAM_ASPECT``, which also picks decomp's streamed modes): wide
   (n >= 2m, every mode-k unfolding of a tensor with three or more
   comparable modes) through ``a a^T``, tall (m >= 2n, the long mode of an
   elongated tensor) through ``a^T a``. The q x q Gram matrix of the short
@@ -80,6 +81,9 @@ import numpy as np
 
 __all__ = ["svd"]
 
+# Gram routes: a matrix whose short side is at most 1 / _GRAM_ASPECT of its
+# long side; decomp picks the middle modes it streams by the same test.
+_GRAM_ASPECT = 2
 # Gram conditioning gate: smallest accepted lambda_min / lambda_max. At the
 # gate the Gram singular values agree with LAPACK's to ~1e-10 relative
 # (eps / (2 * 1e-6)); a denoised unfolding with a constant-mean component
@@ -104,7 +108,7 @@ def svd(m):
     if a.ndim != 2:
         raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
     rows, cols = a.shape
-    if 0 < 2 * rows <= cols or 0 < 2 * cols <= rows:
+    if 0 < _GRAM_ASPECT * rows <= cols or 0 < _GRAM_ASPECT * cols <= rows:
         tall = rows > cols
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             g = _gram(a, tall)  # scaled later instead of a: no scan, no copy of the data

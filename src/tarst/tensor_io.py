@@ -12,8 +12,9 @@ Reading makes one pass over the tokens of the data lines; the values go
 into an array that grows only with the values read, whatever count the
 header declares. An error names a data token by its index, and only then
 are the lines walked again for its spelling and 1-based line. Files are
-UTF-8; a byte that does not decode is a format error on the line that
-holds it. Writing joins the ``repr`` of the values of each row.
+UTF-8, with or without a byte-order mark, which is dropped before the
+first line is read; a byte that does not decode is a format error on the
+line that holds it. Writing joins the ``repr`` of the values of each row.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def _positive_int(lines, toks, index, name, expected) -> int:
 def read_tensor(path) -> np.ndarray:
     """Read one tensor from ``path``; raises :class:`TensorFormatError` on bad input."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         _raise_decode_error(path)

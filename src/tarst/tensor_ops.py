@@ -76,7 +76,9 @@ def _check_shape(shape) -> tuple:
 
 
 def _check_ranks(shape, ranks) -> tuple:
-    """One integer rank per extent of ``shape``, each in [1, extent]."""
+    """One integer rank per extent of ``shape``, each in [1, extent], after
+    :func:`_check_shape` of ``shape``, so a zero extent is a shape fault."""
+    _check_shape(shape)
     ranks = tuple(_as_int(r, "rank") for r in ranks)
     if len(ranks) != len(shape):
         raise ValueError(f"expected {len(shape)} ranks, got {len(ranks)}")

@@ -255,6 +255,11 @@ BOUNDARY = [
     (lambda: hosvd(_Z, (3, 1)), ValueError, "rank 3 out of range [1, 2] for mode 0"),
     (lambda: hosvd(_Z, (1, 0)), ValueError, "rank 0 out of range [1, 3] for mode 1"),
     (lambda: hooi([[np.inf]], (1, 1)), ValueError, "input tensor has non-finite entries"),
+    # a zero extent is a shape fault, named before the ranks are read
+    pytest.param(lambda: hosvd(np.zeros((0, 3, 4)), (1, 1, 1)), ValueError,
+                 "invalid shape (0, 3, 4)", id="<lambda>-ValueError-zero extent (hosvd)"),
+    pytest.param(lambda: hooi(np.zeros((3, 0)), (1, 1)), ValueError,
+                 "invalid shape (3, 0)", id="<lambda>-ValueError-zero extent (hooi)"),
     # the finiteness check is mode 0's factorization, after the argument checks
     (lambda: hosvd([[np.nan, 1.0]], (2, 1)), ValueError, "rank 2 out of range [1, 1] for mode 0"),
     (lambda: hooi([[np.nan]], (1, 1), tol=0), ValueError, "tol must be positive, got 0"),

@@ -6,6 +6,7 @@ behavior of the denoiser (rank discovery, degeneracy on pure noise) is
 pinned at fixed seeds.
 """
 
+import re
 import sys
 import tracemalloc
 import warnings
@@ -410,9 +411,10 @@ def test_tarst_validation():
         tarst(y, "median")
     with pytest.raises(ValueError, match="non-finite"):
         tarst(np.array([[np.nan, 0.0]]), MedianBased())
+    # a zero extent is a shape fault, named before any factorization or rule check
     for shape in [(0, 3), (3, 0, 2), (0,)]:
-        for rule in (MedianBased(), KnownSigma(1.0)):
-            with pytest.raises(ValueError, match="^matrix dimensions must be positive, got "):
+        for rule in (MedianBased(), KnownSigma(1.0), "median"):
+            with pytest.raises(ValueError, match=rf"^invalid shape {re.escape(repr(shape))}$"):
                 tarst(np.zeros(shape), rule)
 
 
@@ -637,6 +639,19 @@ def test_hooi_passes_lapack_non_convergence_through(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match=r"^SVD did not converge$"):
         hooi(y, (3, 3, 3))
     assert calls[0] == 2
+
+
+@pytest.mark.parametrize("method", ["hosvd", "tarst"])
+def test_per_mode_loop_passes_lapack_non_convergence_through(monkeypatch, method):
+    # a near-square 7 x 6 input takes the LAPACK route at mode 0; its
+    # LinAlgError, a ValueError too, must not read as a non-finite entry
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    y = np.random.default_rng(74).standard_normal((7, 6))
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^SVD did not converge$"):
+        hosvd(y, (2, 2)) if method == "hosvd" else tarst(y, MedianBased())
 
 
 def test_tarst_median_overflow_leaves_known_sigma_alone():

@@ -171,6 +171,29 @@ def test_svd_keeps_a_value_on_the_deflation_split_on_the_gram_route(tall, monkey
         _assert_matches_lapack(a)
 
 
+@pytest.mark.parametrize("tall", [False, True])
+def test_svd_falls_to_lapack_when_the_deflated_block_fails_the_gate(tall, monkeypatch):
+    # a spectrum the first gate rejects and deflation takes; when the
+    # deflated block's Gram matrix fails the gate too, svd must return
+    # LAPACK's factorization of the data
+    a = _wide_with_spectrum(np.random.default_rng(5), np.geomspace(1.0, 1e-5, 6), 40)
+    a = a.T if tall else a
+    gated, seen = linalg._gated, []
+
+    def second_rejects(lam):
+        seen.append(lam.size)
+        return gated(lam) and len(seen) == 1
+
+    monkeypatch.setattr(linalg, "_gated", second_rejects)
+    calls = _linalg_calls(monkeypatch)
+    u_got, s_got = svd(a)
+    assert [name for name, _ in calls] == ["eigh", "eigh", "svd"]
+    assert len(seen) == 2
+    u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+    np.testing.assert_allclose(s_got, s_ref, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(u_got, u_ref, rtol=0, atol=1e-10)
+
+
 def test_svd_wide_rank_deficient_takes_lapack_path():
     # exactly or nearly rank-deficient wide inputs fail the Gram conditioning
     # gate and its deflation, and must come back bit for bit as LAPACK

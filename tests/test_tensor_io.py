@@ -247,6 +247,18 @@ def test_read_rejects_non_utf8_byte_with_its_line(tmp_path):
     np.testing.assert_array_equal(read_tensor(p), [1.0, 2.0])
 
 
+def test_read_skips_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbf1\n2\n1 2\n")
+    np.testing.assert_array_equal(read_tensor(p), [1.0, 2.0])
+    # in front of a comment line, the mark does not hide the comment
+    p.write_bytes(b"\xef\xbb\xbf# written by a BOM-emitting editor\n1\n2\n1 2\n")
+    np.testing.assert_array_equal(read_tensor(p), [1.0, 2.0])
+    # an error after the mark names the token without it, on line 1
+    p.write_bytes(b"\xef\xbb\xbfx\n2\n1 2\n")
+    _expect_exact(p, "tensor order must be an integer, got 'x'", 1)
+
+
 def test_read_rejects_huge_declared_count_before_allocating(tmp_path):
     # 1e11 values cannot fit in a 20-byte file: same error as any short file
     p = tmp_path / "huge.txt"
