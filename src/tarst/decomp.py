@@ -37,10 +37,16 @@ import numpy as np
 
 from .linalg import _GRAM_ASPECT, _gram_svd, svd
 from .svht import KnownSigma, MedianBased, _cutoff
-from .tensor_ops import (_as_float_array, _as_int, _check_ranks, _check_shape, _grams,
-                         _mode_product, _unfolding, frobenius_norm, multi_mode_product)
+from .tensor_ops import (_as_float_array, _check_ranks, _check_shape, _grams, _mode_product,
+                         _unfolding, frobenius_norm, multi_mode_product)
 
 __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"]
+
+# HOOI's stopping rule, read by each call: stop once the fit moves by less
+# than _FIT_TOL, or after _MAX_SWEEPS sweeps (Kolda & Bader's tucker_als
+# stops at a fit change of 1e-4 within 50 iterations)
+_FIT_TOL = 1e-8
+_MAX_SWEEPS = 50
 
 
 @dataclass
@@ -144,13 +150,14 @@ def hosvd(y, ranks) -> TuckerModel:
     return model
 
 
-def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
+def hooi(y, ranks) -> TuckerModel:
     """Higher-order orthogonal iteration (ALS refinement of HOSVD).
 
     Each sweep re-solves every mode: project the input on all other factors,
     unfold along the mode, and take the leading left singular vectors. The
     fit ||core||_F / ||y||_F is nondecreasing across sweeps; iteration stops
-    when it moves by less than ``tol`` or after ``max_iter`` sweeps.
+    when it moves by less than ``_FIT_TOL`` (1e-8) or after ``_MAX_SWEEPS``
+    (50) sweeps.
 
     A sweep carries the prefix ``y x_0 U_0^T ... x_{k-1} U_{k-1}^T`` of the
     factors it has already updated (the memoized tensor-times-matrix chain
@@ -171,18 +178,13 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
     """
     a = _as_float_array(y)
     ranks = _check_ranks(a.shape, ranks)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if _as_int(max_iter, "max_iter") < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-
     start = _truncated_tucker(a, lambda k, cols, s: ranks[k])  # HOSVD
     factors = list(start.factors)
     ynorm = frobenius_norm(a)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
     with np.errstate(over="ignore"):  # overflowed projections and cores raise below
-        for _ in range(max_iter):
+        for _ in range(_MAX_SWEEPS):
             prefix = a
             for k in range(a.ndim):
                 w = prefix
@@ -197,7 +199,7 @@ def hooi(y, ranks, tol: float = 1e-8, max_iter: int = 50) -> TuckerModel:
             if ynorm == np.inf:  # every fit would read 0 or nan
                 raise FloatingPointError("HOOI input norm overflows float64")
             fits.append(fit)
-            if abs(fit - prev_fit) < tol:
+            if abs(fit - prev_fit) < _FIT_TOL:
                 break
             prev_fit = fit
     return TuckerModel(core=prefix, factors=factors,

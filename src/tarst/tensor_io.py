@@ -25,7 +25,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .tensor_ops import _as_float_array
+from .tensor_ops import _as_float_array, _check_shape
 
 __all__ = ["TensorFormatError", "read_tensor", "write_tensor"]
 
@@ -124,8 +124,7 @@ def _raise_decode_error(path) -> None:
 def write_tensor(t, path) -> None:
     """Write ``t`` to ``path`` in the text format (C-order values)."""
     a = _as_float_array(t)
-    if a.size == 0:
-        raise ValueError(f"tensor extents must be >= 1, got shape {a.shape}")
+    _check_shape(a.shape)
     if not np.all(np.isfinite(a)):
         raise ValueError("tensor has non-finite entries")
     with open(path, "w", encoding="utf-8") as fh:

@@ -4,7 +4,9 @@ Tensors are numpy float64 arrays. The canonical linearization is C order
 (row-major, last index fastest) and every routine in the package sticks to
 it. The mode-k unfolding sends axis k to the rows; the remaining axes keep
 their relative order and are flattened C-style into the columns, so
-``fold(unfold(t, k), k, t.shape)`` is the identity bit for bit.
+``fold(unfold(t, k), k, t.shape)`` is the identity bit for bit. Both
+reject a zero extent; the kernels and the products accept one, since a
+degenerate model's core has extent 0 in a mode that kept nothing.
 
 The n-mode product is one ``np.dot`` on the unfolding, on the same 2-D
 operands ``np.tensordot(u, t, ([1], [k]))`` builds, so every bit matches
@@ -166,9 +168,11 @@ def unfold(t, mode: int) -> np.ndarray:
     """Mode-k unfolding: the I_k x prod(I_j, j != k) matrix of ``t``.
 
     Rows index mode ``mode``; columns run over the remaining modes in their
-    original order, last one fastest (C order).
+    original order, last one fastest (C order). A zero extent raises
+    ``ValueError("invalid shape ...")``, as in :func:`fold`.
     """
     a = _as_float_array(t)
+    _check_shape(a.shape)
     return _unfolding(a, _check_mode(a.ndim, mode))
 
 

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies, the benchmark-CSV parser the tests read
-records back with, and the acceptance-report summary hook."""
+records back with, HOOI's stopping rule for the tests that vary it, and
+the acceptance-report summary hook."""
 
 import csv
 
@@ -7,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tarst import decomp
 from tarst.bench import CSV_COLUMNS, TrialRecord
 
 # the acceptance tests append one verdict line each; echoing them after the
@@ -57,6 +59,14 @@ def tensor_two_modes_two_factors(draw, max_dims=4, max_side=4):
 
 def rng_tensor(rng, shape, scale=1.0):
     return scale * rng.standard_normal(shape)
+
+
+def stop_hooi_at(monkeypatch, tol, sweeps):
+    """Set HOOI's stopping rule, the module constants each call reads, to a
+    fit change below ``tol`` within ``sweeps`` sweeps, until ``monkeypatch``
+    undoes it."""
+    monkeypatch.setattr(decomp, "_FIT_TOL", tol)
+    monkeypatch.setattr(decomp, "_MAX_SWEEPS", sweeps)
 
 
 def read_records(path):

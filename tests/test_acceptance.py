@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_VERDICTS, read_records
+from conftest import ACCEPTANCE_VERDICTS, read_records, stop_hooi_at
 from scipy.optimize import brentq
 
 from tarst.bench import (
@@ -269,12 +269,14 @@ def _suite_threshold(rng):
 
 
 def _suite_hooi_fit(rng):
-    for _ in range(200):
-        shape = tuple(int(v) for v in rng.integers(3, 7, size=3))
-        ranks = tuple(min(2, i) for i in shape)
-        y = rng.standard_normal(shape)
-        fits = hooi(y, ranks, tol=1e-12, max_iter=6).fits
-        assert all(b - a >= -1e-10 for a, b in zip(fits, fits[1:]))
+    with pytest.MonkeyPatch.context() as mp:
+        stop_hooi_at(mp, 1e-12, 6)
+        for _ in range(200):
+            shape = tuple(int(v) for v in rng.integers(3, 7, size=3))
+            ranks = tuple(min(2, i) for i in shape)
+            y = rng.standard_normal(shape)
+            fits = hooi(y, ranks).fits
+            assert all(b - a >= -1e-10 for a, b in zip(fits, fits[1:]))
     return 200
 
 

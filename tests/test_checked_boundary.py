@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import stop_hooi_at
 from tarst import bench, decomp
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
 from tarst.linalg import svd
@@ -36,14 +37,15 @@ def _ref_hosvd(y, ranks):
     return TuckerModel(core=_project(y, factors), factors=factors, svd_calls=len(factors))
 
 
-def _ref_hooi(y, ranks, tol=1e-8, max_iter=50):
+def _ref_hooi(y, ranks):
+    """HOOI under the stopping rule of ``decomp``'s constants."""
     y = np.asarray(y, dtype=np.float64)
     start = _ref_hosvd(y, ranks)
     factors, calls = list(start.factors), start.svd_calls
     ynorm = frobenius_norm(y)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
-    for _ in range(max_iter):
+    for _ in range(decomp._MAX_SWEEPS):
         prefix = y
         for k in range(y.ndim):
             w = prefix
@@ -54,7 +56,7 @@ def _ref_hooi(y, ranks, tol=1e-8, max_iter=50):
             prefix = mode_product(prefix, factors[k].T, k)
         fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0
         fits.append(fit)
-        if abs(fit - prev_fit) < tol:
+        if abs(fit - prev_fit) < decomp._FIT_TOL:
             break
         prev_fit = fit
     return TuckerModel(core=prefix, factors=factors, svd_calls=calls, fits=tuple(fits))
@@ -132,10 +134,11 @@ def test_hosvd_bit_identical_to_checked_reference(y, ranks):
 
 @pytest.mark.parametrize("y, ranks", CASES)
 @pytest.mark.parametrize("max_iter", [1, 50])
-def test_hooi_bit_identical_to_checked_reference(y, ranks, max_iter):
-    model = hooi(y, ranks, tol=1e-10, max_iter=max_iter)
-    want = _ref_hooi(y, ranks, tol=1e-10, max_iter=max_iter)
-    assert len(model.fits) == len(want.fits) >= 1
+def test_hooi_bit_identical_to_checked_reference(y, ranks, max_iter, monkeypatch):
+    stop_hooi_at(monkeypatch, 1e-10, max_iter)
+    model = hooi(y, ranks)
+    want = _ref_hooi(y, ranks)
+    assert max_iter >= len(model.fits) == len(want.fits) >= 1
     assert _same_model(model, want)
 
 
@@ -213,7 +216,8 @@ def test_models_count_the_factorizations_that_built_them(y, ranks, monkeypatch):
         assert tarst(y, rule).model.svd_calls == calls[0] == y.ndim
     for max_iter in (1, 50):
         calls[0] = 0
-        model = hooi(y, ranks, tol=1e-10, max_iter=max_iter)
+        stop_hooi_at(monkeypatch, 1e-10, max_iter)
+        model = hooi(y, ranks)
         assert model.svd_calls == calls[0] == y.ndim * (1 + len(model.fits))
 
 
@@ -262,10 +266,10 @@ BOUNDARY = [
                  "invalid shape (3, 0)", id="<lambda>-ValueError-zero extent (hooi)"),
     # the finiteness check is mode 0's factorization, after the argument checks
     (lambda: hosvd([[np.nan, 1.0]], (2, 1)), ValueError, "rank 2 out of range [1, 1] for mode 0"),
-    (lambda: hooi([[np.nan]], (1, 1), tol=0), ValueError, "tol must be positive, got 0"),
-    (lambda: hooi(_Z, (3, 1), tol=0), ValueError, "rank 3 out of range [1, 2] for mode 0"),
-    (lambda: hooi(_Z, (1, 1), tol=0), ValueError, "tol must be positive, got 0"),
-    (lambda: hooi(_Z, (1, 1), max_iter=0), ValueError, "max_iter must be >= 1, got 0"),
+    pytest.param(lambda: hooi([[np.nan, 1.0]], (2, 1)), ValueError,
+                 "rank 2 out of range [1, 1] for mode 0",
+                 id="<lambda>-ValueError-non-finite input with a bad rank (hooi)"),
+    (lambda: hooi(_Z, (3, 1)), ValueError, "rank 3 out of range [1, 2] for mode 0"),
     pytest.param(lambda: tarst(5.0, MedianBased()), ValueError,
                  "tensor must have at least one mode",
                  id="<lambda>-ValueError-input must have at least one mode (tarst)"),

@@ -138,7 +138,7 @@ FIELDS = {
 PARAMETERS = {
     "default_sigma_grid": [],
     "hosvd": ["y", "ranks"],
-    "hooi": ["y", "ranks", "tol", "max_iter"],
+    "hooi": ["y", "ranks"],
     "tarst": ["y", "rule"],
 }
 # the defining module of each pinned name that the package does not export

@@ -16,8 +16,8 @@ from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
 from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
 from tarst import tensor_ops
-from tarst.tensor_ops import (_BLOCK, _grams, _sums_of_squares, fold, frobenius_norm,
-                              mode_product, multi_mode_product, unfold)
+from tarst.tensor_ops import (_BLOCK, _grams, _sums_of_squares, _unfolding, fold,
+                              frobenius_norm, mode_product, multi_mode_product, unfold)
 
 # t[i, j, k] = 1 + 4i + 2j + k, so each unfolding below can be checked by eye
 T222 = np.arange(1.0, 9.0).reshape(2, 2, 2)
@@ -171,8 +171,20 @@ def test_unfold_bit_identical_to_moveaxis_and_zero_sizes():
         for k in range(4):
             want = np.moveaxis(a, k, 0).reshape(a.shape[k], -1)
             _assert_same_bits(unfold(a, k), want)
-    assert unfold(np.zeros((3, 0, 2)), 0).shape == (3, 0)
-    assert unfold(np.zeros((3, 0, 2)), 1).shape == (0, 6)
+    # the kernel unfolds zero sizes, which a degenerate model's core has
+    assert _unfolding(np.zeros((3, 0, 2)), 0).shape == (3, 0)
+    assert _unfolding(np.zeros((3, 0, 2)), 1).shape == (0, 6)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4)])
+def test_unfold_rejects_a_zero_extent_as_fold_does(shape):
+    # fold inverts unfold on every input unfold accepts
+    message = f"^invalid shape {re.escape(repr(shape))}$"
+    for mode in range(len(shape)):
+        with pytest.raises(ValueError, match=message):
+            unfold(np.zeros(shape), mode)
+        with pytest.raises(ValueError, match=message):
+            fold(np.zeros((1, 1)), mode, shape)
 
 
 def test_mode_product_rejects_mismatched_factor():

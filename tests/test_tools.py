@@ -1,7 +1,10 @@
-"""The source line counter: every line of the package is counted once, and
-the public names are those of ``tarst.__all__``."""
+"""The source line counter: every line of the package is counted once, the
+public names are those of ``tarst.__all__``, and the settable surface is
+what the imported package's signatures and dataclass fields say."""
 
+import dataclasses
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +25,9 @@ def _loc_module():
 def test_loc_counts_sum_to_each_files_line_count():
     out = subprocess.run([sys.executable, str(LOC)], capture_output=True, text=True,
                          check=True).stdout
-    *table, names = out.splitlines()
+    *table, names, surface = out.splitlines()
     assert names == f"public names: {len(tarst.__all__)}"
+    assert surface == f"settable surface: {_loc_module().settable_surface()}"
     header, *rows = (line.split() for line in table)
     assert header == ["file", "code", "docstring", "blank", "comment", "lines"]
     files = sorted((ROOT / "src" / "tarst").glob("*.py"))
@@ -42,3 +46,13 @@ def test_loc_kinds_of_lines(tmp_path):
                  '        """Two\n        lines."""\n        x = "not a docstring"\n'
                  '        return x  # trailing comments are code\n')
     assert _loc_module().count(p) == {"code": 5, "docstring": 6, "blank": 4, "comment": 1}
+
+
+def test_loc_settable_surface_matches_the_imported_package():
+    def settable(obj):
+        if dataclasses.is_dataclass(obj):
+            return len(dataclasses.fields(obj))
+        return len(inspect.signature(obj).parameters) if inspect.isfunction(obj) else 0
+
+    assert _loc_module().settable_surface() == sum(settable(getattr(tarst, name))
+                                                   for name in tarst.__all__)
