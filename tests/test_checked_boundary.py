@@ -37,15 +37,16 @@ def _ref_hosvd(y, ranks):
     return TuckerModel(core=_project(y, factors), factors=factors, svd_calls=len(factors))
 
 
-def _ref_hooi(y, ranks):
-    """HOOI under the stopping rule of ``decomp``'s constants."""
+def _ref_hooi(y, ranks, tol=1e-8, max_iter=50):
+    """HOOI stopping at a fit change below ``tol`` within ``max_iter``
+    sweeps; the defaults are the rule ``hooi`` must keep."""
     y = np.asarray(y, dtype=np.float64)
     start = _ref_hosvd(y, ranks)
     factors, calls = list(start.factors), start.svd_calls
     ynorm = frobenius_norm(y)
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
-    for _ in range(decomp._MAX_SWEEPS):
+    for _ in range(max_iter):
         prefix = y
         for k in range(y.ndim):
             w = prefix
@@ -56,7 +57,7 @@ def _ref_hooi(y, ranks):
             prefix = mode_product(prefix, factors[k].T, k)
         fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0
         fits.append(fit)
-        if abs(fit - prev_fit) < decomp._FIT_TOL:
+        if abs(fit - prev_fit) < tol:
             break
         prev_fit = fit
     return TuckerModel(core=prefix, factors=factors, svd_calls=calls, fits=tuple(fits))
@@ -137,7 +138,7 @@ def test_hosvd_bit_identical_to_checked_reference(y, ranks):
 def test_hooi_bit_identical_to_checked_reference(y, ranks, max_iter, monkeypatch):
     stop_hooi_at(monkeypatch, 1e-10, max_iter)
     model = hooi(y, ranks)
-    want = _ref_hooi(y, ranks)
+    want = _ref_hooi(y, ranks, 1e-10, max_iter)
     assert max_iter >= len(model.fits) == len(want.fits) >= 1
     assert _same_model(model, want)
 
