@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tarst.bench import Pattern1Config, mean_rrse_by_cell, run_pattern2, write_csv
+from tarst.bench import (TRUE_MEAN, TRUE_STD, Pattern1Config, mean_rrse_by_cell, run_pattern2,
+                         write_csv)
 
 cfg = Pattern1Config(
     shape=(10, 10, 10),
@@ -22,8 +23,8 @@ cfg = Pattern1Config(
     reps=5,
     seed=0,
 )
-print(f"shape {cfg.shape}, ranks {cfg.true_ranks}, mean {cfg.true_mean}, "
-      f"std {cfg.true_std}, {cfg.reps} reps per cell")
+print(f"shape {cfg.shape}, ranks {cfg.true_ranks}, mean {TRUE_MEAN}, "
+      f"std {TRUE_STD}, {cfg.reps} reps per cell")
 
 records = run_pattern2(cfg)
 means = mean_rrse_by_cell(records)

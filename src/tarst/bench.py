@@ -51,6 +51,10 @@ METHODS = ("Baseline", "HOSVD", "HOOI", "TARST")
 DEFAULT_OUTLIER_RATIOS = (0.01, 0.05, 0.10, 0.25, 0.50)
 DEFAULT_OUTLIER_SCALES = (10.0, 25.0, 50.0, 100.0)
 
+# the truth model of every run: gen_lowrank_tensor's constant mean and entry std
+TRUE_MEAN = 10.0
+TRUE_STD = 2.0
+
 # seed-derivation tags keeping truth/noise/outlier streams apart
 _TRUTH, _NOISE, _OUTLIER = 1, 2, 3
 
@@ -83,8 +87,6 @@ class Pattern1Config:
     leaves both outlier axes empty; Pattern 2 fills both."""
 
     shape: tuple = (10, 10, 10)
-    true_mean: float = 10.0
-    true_std: float = 2.0
     true_ranks: tuple = None
     sigma_grid: tuple = field(default_factory=default_sigma_grid)
     reps: int = 5
@@ -120,9 +122,6 @@ class Pattern1Config:
             raise ValueError("sigma_grid must hold positive finite values")
         if any(a >= b for a, b in zip(grid, grid[1:])):
             raise ValueError("sigma_grid must be sorted strictly ascending")
-        if not (math.isfinite(self.true_mean) and math.isfinite(self.true_std)
-                and self.true_std > 0):
-            raise ValueError("true_mean must be finite and true_std positive")
         if (len(self.outlier_ratios) == 0) != (len(self.outlier_scales) == 0):
             raise ValueError("outlier_ratios and outlier_scales must be empty together")
         if any(not 0 < r <= 1 for r in self.outlier_ratios):
@@ -256,8 +255,8 @@ def run_pattern2(cfg: Pattern1Config):
     cells = [((j, k), ratio, scale)
              for j, ratio in enumerate(cfg.outlier_ratios)
              for k, scale in enumerate(cfg.outlier_scales)] or [((), None, None)]
-    truths = [gen_lowrank_tensor(cfg.shape, cfg.true_ranks, cfg.true_mean,
-                                 cfg.true_std, derive_seed(cfg.seed, _TRUTH, rep))
+    truths = [gen_lowrank_tensor(cfg.shape, cfg.true_ranks, TRUE_MEAN, TRUE_STD,
+                                 derive_seed(cfg.seed, _TRUTH, rep))
               for rep in range(cfg.reps)]
     records = []
     for i, sigma in enumerate(cfg.sigma_grid):

@@ -12,20 +12,11 @@ projected onto the retained left singular subspaces,
 
 Each public function converts its input once, rejects a zero extent, and
 then unfolds and multiplies with the unchecked kernels of ``tensor_ops``.
-All three repeat one step per mode: factorize a mode-k matrix into
-``(u, s)`` and keep the leading columns of u. ``_factor`` runs it through
-:func:`~tarst.linalg.svd` and owns its error contract: numpy's
-``LinAlgError`` passes through, and ``svd``'s one other error, a
-non-finite entry, is raised as the caller's own. HOSVD (also HOOI's start)
-and TARST share one per-mode loop, ``_truncated_tucker``, where a callback
-picks each mode's rank from s; TARST's reads the cutoff off the sorted s
-with the one cutoff kernel of ``svht``. Before that loop, one pass over
-cache-sized slabs (``tensor_ops._grams``) forms the Gram matrices of the
-wide middle modes (by ``linalg._GRAM_ASPECT``), whose unfoldings would be
-full-size copies; they enter the step at ``linalg._gram_svd``. Mode 0 is
-factorized first, so it is the input's finiteness check. Each model
-counts the factorizations that built it in ``svd_calls``: N for HOSVD and
-TARST, N more per HOOI sweep.
+HOSVD (also HOOI's start) and TARST share one per-mode loop,
+``_truncated_tucker``, which differs only in how it picks each mode's
+rank; HOOI's sweeps factorize through the same step, ``_factor``. Each
+model counts the factorizations that built it in ``svd_calls``: N for
+HOSVD and TARST, N more per HOOI sweep.
 """
 
 from __future__ import annotations

@@ -15,23 +15,15 @@ def rrse(est, truth) -> float:
     """Relative reconstruction error ||est - truth||_F / ||truth||_F.
 
     The benchmark literature calls this "RRSE" although the ratio is not
-    squared; this implements the operative formula. Undefined (raises) for
-    zero-norm truth. Both norms come from one pass of ``frobenius_norm``'s
-    kernel, ``tensor_ops._sums_of_squares``, with no full-size temporary:
-    per slab of ``tensor_ops._slabs``, a run of whole mode-0 slices of at
-    most ``tensor_ops._BLOCK`` entries (at least one slice), cut by the
-    shape alone, it reads a C-contiguous slab of the truth in place and
-    forms ``est - truth`` in one reused buffer, or gathers any other slab
-    once into a copy and forms the difference in place there, and sums the
-    squares of both. So the result has the same bits whatever the memory
-    layout of either input, and equals
-    ``frobenius_norm(est - truth) / frobenius_norm(truth)`` bit for bit. No
-    copy is larger than one slab, a whole slice where a slice exceeds
-    ``_BLOCK``.
-    A norm outside [2**-450, inf) is taken again with ``frobenius_norm``'s
-    exact power-of-two scaling over the same blocks; for the difference
-    norm (0, or below 2**-450, as when est equals truth) that path forms
-    a full-size ``est - truth``.
+    squared; this implements the operative formula. Raises ValueError for
+    a shape mismatch and for zero-norm truth. Both norms come from one pass
+    of ``frobenius_norm``'s kernel, ``tensor_ops._sums_of_squares``, so the
+    result equals ``frobenius_norm(est - truth) / frobenius_norm(truth)``
+    bit for bit, whatever the memory layout of either input, and no copy is
+    larger than one slab. The one exception: a difference norm outside
+    [2**-450, inf), as when est equals truth, is taken again by
+    ``frobenius_norm``'s power-of-two fallback over a full-size
+    ``est - truth``.
     """
     e = np.asarray(est, dtype=np.float64)
     x = np.asarray(truth, dtype=np.float64)

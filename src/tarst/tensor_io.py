@@ -33,9 +33,9 @@ __all__ = ["TensorFormatError", "read_tensor", "write_tensor"]
 class TensorFormatError(ValueError):
     """Malformed tensor text; carries the offending 1-based line number."""
 
-    def __init__(self, message: str, line=None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+        super().__init__(f"line {line}: {message}")
 
 
 def _line_tokens(line):

@@ -269,7 +269,7 @@ def _norm(x: np.ndarray, r: float) -> float:
     is zero, inf or nan."""
     if _in_range(r):
         return r
-    peak = np.abs(x).max(initial=0.0)
+    peak = max(x.max(initial=0.0), -x.min(initial=0.0))
     if not 0 < peak < math.inf:
         return r
     e = math.frexp(peak)[1]

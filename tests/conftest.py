@@ -1,6 +1,6 @@
 """Shared hypothesis strategies, the benchmark-CSV parser the tests read
-records back with, HOOI's stopping rule for the tests that vary it, and
-the acceptance-report summary hook."""
+records back with, HOOI's stopping rule and the benchmark's truth model for
+the tests that vary them, and the acceptance-report summary hook."""
 
 import csv
 
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tarst import decomp
+from tarst import bench, decomp
 from tarst.bench import CSV_COLUMNS, TrialRecord
 
 # the acceptance tests append one verdict line each; echoing them after the
@@ -67,6 +67,14 @@ def stop_hooi_at(monkeypatch, tol, sweeps):
     undoes it."""
     monkeypatch.setattr(decomp, "_FIT_TOL", tol)
     monkeypatch.setattr(decomp, "_MAX_SWEEPS", sweeps)
+
+
+def set_truth_model(monkeypatch, mean, std):
+    """Give every truth ``run_pattern2`` generates the constant ``mean`` and
+    entry std ``std``, the module constants each run reads, until
+    ``monkeypatch`` undoes it."""
+    monkeypatch.setattr(bench, "TRUE_MEAN", mean)
+    monkeypatch.setattr(bench, "TRUE_STD", std)
 
 
 def read_records(path):

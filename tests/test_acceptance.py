@@ -44,8 +44,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def pattern1_run():
-    cfg = Pattern1Config(shape=(10, 10, 10), true_mean=10.0, true_std=2.0,
-                         true_ranks=(3, 3, 3), reps=5, seed=0)
+    cfg = Pattern1Config(shape=(10, 10, 10), true_ranks=(3, 3, 3), reps=5, seed=0)
     t0 = time.perf_counter()
     records = run_pattern2(cfg)
     return cfg, records, time.perf_counter() - t0
@@ -56,8 +55,8 @@ def pattern2_run():
     # the default log grid skips 1.0 exactly; add it so the sigma=1 cells
     # of the outlier criterion are well defined
     grid = tuple(sorted(set(default_sigma_grid()) | {1.0}))
-    cfg = Pattern2Config(shape=(10, 10, 10), true_mean=10.0, true_std=2.0,
-                         true_ranks=(3, 3, 3), sigma_grid=grid, reps=5, seed=0)
+    cfg = Pattern2Config(shape=(10, 10, 10), true_ranks=(3, 3, 3), sigma_grid=grid,
+                         reps=5, seed=0)
     t0 = time.perf_counter()
     records = run_pattern2(cfg)
     return cfg, records, time.perf_counter() - t0

@@ -6,13 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import read_records
+from conftest import read_records, set_truth_model
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tarst.bench import (
     CSV_COLUMNS,
     METHODS,
+    TRUE_MEAN,
+    TRUE_STD,
     Pattern1Config,
     Pattern2Config,
     TrialRecord,
@@ -88,6 +90,12 @@ def test_gen_moments_on_default_condition():
     assert 1.96 <= x.std() <= 2.04
     # the generator rescales to the target spread exactly
     assert x.std() == pytest.approx(2.0, abs=1e-12)
+
+
+def test_truth_model_is_mean_10_std_2():
+    # the tests that vary the truth model patch these constants, so this is
+    # where a new truth model shows as a change
+    assert (TRUE_MEAN, TRUE_STD) == (10.0, 2.0)
 
 
 def test_gen_deterministic():
@@ -295,8 +303,6 @@ def test_pattern1_config_validation():
         Pattern1Config(shape=(4, 4, 4), true_ranks=(5, 3, 3))
     with pytest.raises(ValueError, match="^expected 3 ranks, got 2$"):
         Pattern1Config(true_ranks=(3, 3))
-    with pytest.raises(ValueError, match="std"):
-        Pattern1Config(true_std=0.0)
     for grid in [(1.0, math.inf), (math.nan,), (0.5, math.nan, 2.0)]:
         with pytest.raises(ValueError, match="sigma_grid"):
             Pattern1Config(sigma_grid=grid)
@@ -406,8 +412,8 @@ def test_pattern1_baseline_matches_noise_norm_oracle():
     k = 0
     for sigma in cfg.sigma_grid:
         for rep in range(cfg.reps):
-            truth = gen_lowrank_tensor(cfg.shape, cfg.true_ranks, cfg.true_mean,
-                                       cfg.true_std, derive_seed(cfg.seed, 1, rep))
+            truth = gen_lowrank_tensor(cfg.shape, cfg.true_ranks, TRUE_MEAN, TRUE_STD,
+                                       derive_seed(cfg.seed, 1, rep))
             expect = sigma * np.sqrt(p) / np.linalg.norm(truth.ravel())
             rec = records[k]
             k += 1
@@ -424,12 +430,12 @@ def test_pattern1_baseline_mean_rrse_monotone_in_sigma():
     assert all(a < b for a, b in zip(series, series[1:]))
 
 
-def test_pattern1_degenerate_tarst_records_exact_unit_rrse():
+def test_pattern1_degenerate_tarst_records_exact_unit_rrse(monkeypatch):
     # signal far below the noise floor: every retained count drops to zero
     # and the zero estimate makes rrse exactly 1
-    cfg = Pattern1Config(shape=(10, 10, 10), true_mean=0.0, true_std=0.25,
-                         true_ranks=(3, 3, 3), sigma_grid=(10.0,), reps=5,
-                         seed=0, methods=("TARST",))
+    set_truth_model(monkeypatch, 0.0, 0.25)
+    cfg = Pattern1Config(shape=(10, 10, 10), true_ranks=(3, 3, 3), sigma_grid=(10.0,),
+                         reps=5, seed=0, methods=("TARST",))
     records = run_pattern2(cfg)
     assert len(records) == 5
     for rec in records:
@@ -437,11 +443,12 @@ def test_pattern1_degenerate_tarst_records_exact_unit_rrse():
         assert rec.rrse == 1.0
 
 
-def test_pattern1_low_noise_no_method_loses_on_exact_rank_truth():
+def test_pattern1_low_noise_no_method_loses_on_exact_rank_truth(monkeypatch):
     # with a mean-free truth the configured ranks equal the true mode ranks,
     # and at the smallest sigma every denoiser stays within 5% of the no-op
-    cfg = Pattern1Config(shape=(10, 10, 10), true_mean=0.0, true_std=2.0,
-                         true_ranks=(3, 3, 3), sigma_grid=(0.1,), reps=5, seed=0)
+    set_truth_model(monkeypatch, 0.0, 2.0)
+    cfg = Pattern1Config(shape=(10, 10, 10), true_ranks=(3, 3, 3), sigma_grid=(0.1,),
+                         reps=5, seed=0)
     means = mean_rrse_by_cell(run_pattern2(cfg))
     base = means[("Baseline", 0.1, None, None)]
     for method in METHODS:
@@ -454,9 +461,10 @@ def test_pattern1_low_noise_no_method_loses_on_exact_rank_truth():
     "ranks do not count, so rank-given methods under-fit and lose to the "
     "no-op at low noise",
 )
-def test_pattern1_low_noise_no_lose_under_default_mean():
-    cfg = Pattern1Config(shape=(10, 10, 10), true_mean=10.0, true_std=2.0,
-                         true_ranks=(3, 3, 3), sigma_grid=(0.1,), reps=5, seed=0)
+def test_pattern1_low_noise_no_lose_under_default_mean(monkeypatch):
+    set_truth_model(monkeypatch, 10.0, 2.0)
+    cfg = Pattern1Config(shape=(10, 10, 10), true_ranks=(3, 3, 3), sigma_grid=(0.1,),
+                         reps=5, seed=0)
     means = mean_rrse_by_cell(run_pattern2(cfg))
     base = means[("Baseline", 0.1, None, None)]
     for method in METHODS:

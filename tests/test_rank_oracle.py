@@ -25,6 +25,8 @@ from tarst.bench import (
     _NOISE,
     _OUTLIER,
     _TRUTH,
+    TRUE_MEAN,
+    TRUE_STD,
     Pattern1Config,
     Pattern2Config,
     add_gaussian_noise,
@@ -41,8 +43,7 @@ from tarst.svht import KnownSigma, MedianBased, _cutoff
 from tarst.tensor_ops import unfold
 
 RTOL = 1e-10
-_CUBE = dict(shape=(10, 10, 10), true_mean=10.0, true_std=2.0, true_ranks=(3, 3, 3),
-             reps=5, seed=0)
+_CUBE = dict(shape=(10, 10, 10), true_ranks=(3, 3, 3), reps=5, seed=0)
 # the acceptance configs; Pattern 2's grid adds sigma = 1 to the default one
 CONFIGS = (Pattern1Config(**_CUBE),
            Pattern2Config(sigma_grid=tuple(sorted({*default_sigma_grid(), 1.0})), **_CUBE))
@@ -53,7 +54,7 @@ def _trials(cfg):
     cells = [((j, k), ratio, scale)
              for j, ratio in enumerate(cfg.outlier_ratios)
              for k, scale in enumerate(cfg.outlier_scales)] or [((), None, None)]
-    truths = [gen_lowrank_tensor(cfg.shape, cfg.true_ranks, cfg.true_mean, cfg.true_std,
+    truths = [gen_lowrank_tensor(cfg.shape, cfg.true_ranks, TRUE_MEAN, TRUE_STD,
                                  derive_seed(cfg.seed, _TRUTH, rep))
               for rep in range(cfg.reps)]
     for i, sigma in enumerate(cfg.sigma_grid):

@@ -1,6 +1,7 @@
 """The source line counter: every line of the package is counted once, the
-public names are those of ``tarst.__all__``, and the settable surface is
-what the imported package's signatures and dataclass fields say."""
+public names are those of ``tarst.__all__``, and the settable surfaces of
+the package and of the benchmark harness are what the imported modules'
+signatures and dataclass annotations say."""
 
 import dataclasses
 import importlib.util
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import tarst
+from tarst import bench
 
 ROOT = Path(__file__).resolve().parent.parent
 LOC = ROOT / "tools" / "loc.py"
@@ -25,9 +27,11 @@ def _loc_module():
 def test_loc_counts_sum_to_each_files_line_count():
     out = subprocess.run([sys.executable, str(LOC)], capture_output=True, text=True,
                          check=True).stdout
-    *table, names, surface = out.splitlines()
+    *table, names, surface, bench_surface = out.splitlines()
+    loc = _loc_module()
     assert names == f"public names: {len(tarst.__all__)}"
-    assert surface == f"settable surface: {_loc_module().settable_surface()}"
+    assert surface == f"settable surface: {loc.settable_surface(loc._public())}"
+    assert bench_surface == f"bench settable surface: {loc.settable_surface(loc._names('bench'))}"
     header, *rows = (line.split() for line in table)
     assert header == ["file", "code", "docstring", "blank", "comment", "lines"]
     files = sorted((ROOT / "src" / "tarst").glob("*.py"))
@@ -48,11 +52,23 @@ def test_loc_kinds_of_lines(tmp_path):
     assert _loc_module().count(p) == {"code": 5, "docstring": 6, "blank": 4, "comment": 1}
 
 
-def test_loc_settable_surface_matches_the_imported_package():
-    def settable(obj):
-        if dataclasses.is_dataclass(obj):
-            return len(dataclasses.fields(obj))
-        return len(inspect.signature(obj).parameters) if inspect.isfunction(obj) else 0
+def _settable(obj) -> int:
+    """Function parameters, or the fields a dataclass annotates itself: a
+    subclass counts the fields it redeclares, not those it inherits."""
+    if dataclasses.is_dataclass(obj):
+        return len(inspect.get_annotations(obj))
+    return len(inspect.signature(obj).parameters) if inspect.isfunction(obj) else 0
 
-    assert _loc_module().settable_surface() == sum(settable(getattr(tarst, name))
-                                                   for name in tarst.__all__)
+
+def test_loc_settable_surface_matches_the_imported_package():
+    loc = _loc_module()
+    assert loc.settable_surface(loc._public()) == sum(_settable(getattr(tarst, name))
+                                                      for name in tarst.__all__)
+
+
+def test_loc_bench_settable_surface_matches_the_imported_harness():
+    loc = _loc_module()
+    assert loc.settable_surface(loc._names("bench")) == sum(
+        _settable(getattr(bench, name)) for name in bench.__all__)
+    # Pattern2Config counts the two outlier defaults it redeclares
+    assert _settable(bench.Pattern2Config) == 2

@@ -11,12 +11,14 @@ that add up to each file's line count:
 * comment: other lines whose first non-blank character is ``#``;
 * code: every other line.
 
-Two last lines give the number of public names, the length of
-``tarst.__all__``, and the settable surface: the parameters of the public
-functions plus the fields of the public dataclasses (any other public name,
-such as an exception class or ``__version__``, counts none). Both are read
-with ``ast`` without importing the package: ``__init__.py`` joins the
-modules' ``__all__`` lists and adds ``__version__``.
+Three last lines give the number of public names (the length of
+``tarst.__all__``); the settable surface: the parameters of the public
+functions plus the fields a public dataclass declares itself (any other
+public name, such as an exception class or ``__version__``, counts none);
+and the same surface over ``tarst.bench.__all__``, the benchmark harness's
+knobs. All are read with ``ast`` without importing the package:
+``__init__.py`` joins the modules' ``__all__`` lists and adds
+``__version__``.
 """
 
 import ast
@@ -63,14 +65,18 @@ def _all_node(module: str):
                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
 
 
+def _names(module: str):
+    """(module, name) for each name of ``module``'s literal ``__all__``."""
+    return ((module, name) for name in ast.literal_eval(_all_node(module)))
+
+
 def _public():
     """(module, name) for each name of tarst.__all__: in ``__init__.py``'s
-    list each ``*module.__all__`` gives the names of that module's literal
-    ``__all__``, any other item itself."""
+    list each ``*module.__all__`` gives :func:`_names` of that module, any
+    other item itself."""
     for item in _all_node("__init__").elts:
         if isinstance(item, ast.Starred):
-            module = item.value.value.id
-            yield from ((module, name) for name in ast.literal_eval(_all_node(module)))
+            yield from _names(item.value.value.id)
         else:
             yield "__init__", ast.literal_eval(item)
 
@@ -81,7 +87,8 @@ def public_names() -> int:
 
 
 def _settable(node) -> int:
-    """The parameters of a function or the fields of a dataclass; 0 otherwise."""
+    """The parameters of a function or the fields a dataclass annotates in
+    its own body; 0 otherwise."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         a = node.args
         return len([*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))])
@@ -92,12 +99,13 @@ def _settable(node) -> int:
     return 0
 
 
-def settable_surface() -> int:
-    """The settable values of tarst.__all__, summed by :func:`_settable`
-    over the top-level definitions the public names refer to."""
+def settable_surface(names) -> int:
+    """The settable values of ``names``, (module, name) pairs such as
+    :func:`_public` gives: :func:`_settable` summed over the top-level
+    definitions they refer to."""
     return sum(_settable(next((node for node in _body(module)
                                if getattr(node, "name", None) == name), None))
-               for module, name in _public())
+               for module, name in names)
 
 
 def main() -> None:
@@ -108,7 +116,8 @@ def main() -> None:
         print(f"{name:<14}" + "".join(f"{row[kind]:>10}" for kind in KINDS)
               + f"{sum(row.values()):>10}")
     print(f"public names: {public_names()}")
-    print(f"settable surface: {settable_surface()}")
+    print(f"settable surface: {settable_surface(_public())}")
+    print(f"bench settable surface: {settable_surface(_names('bench'))}")
 
 
 if __name__ == "__main__":
