@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from tarst.tensor_io import read_tensor, write_tensor
-from tarst.tensor_ops import fold, frobenius_norm, mode_product, unfold
+from tarst.tensor_ops import frobenius_norm, multi_mode_product, unfold
 
 # A tiny 2 x 2 x 2 tensor whose entries are just 1..8, so every rearrangement
 # is easy to check by eye.
@@ -25,15 +25,20 @@ for k in range(3):
     print(f"\nmode-{k} unfolding ({unfold(x, k).shape[0]} x {unfold(x, k).shape[1]}):")
     print(unfold(x, k))
 
-# fold is the exact inverse, bit for bit.
+# It is numpy's moveaxis + reshape, so numpy undoes it exactly, bit for bit.
 for k in range(3):
-    assert np.array_equal(fold(unfold(x, k), k, x.shape), x)
-print("\nfold(unfold(x, k)) == x for every mode: True")
+    rest = x.shape[:k] + x.shape[k + 1:]
+    back = np.moveaxis(unfold(x, k).reshape((x.shape[k],) + rest), 0, k)
+    assert np.array_equal(back, x)
+print("\nmoveaxis(unfold(x, k).reshape(...), 0, k) == x for every mode: True")
 
-# A mode product multiplies one mode by a matrix. Averaging along mode 0:
+# A mode product multiplies one mode by a matrix. multi_mode_product takes
+# one factor per mode; identities leave modes 1 and 2 alone while mode 0
+# is averaged:
 avg = np.full((1, 2), 0.5)
-print("\naverage over mode 0, shape", mode_product(x, avg, 0).shape)
-print(mode_product(x, avg, 0))
+mean0 = multi_mode_product(x, [avg, np.eye(2), np.eye(2)])
+print("\naverage over mode 0, shape", mean0.shape)
+print(mean0)
 
 # Unfoldings preserve the Frobenius norm; it is the same set of numbers.
 print("\n||x||_F =", frobenius_norm(x))

@@ -29,7 +29,7 @@ import numpy as np
 from .decomp import hooi, hosvd, reconstruct, tarst
 from .metrics import rrse
 from .svht import KnownSigma, MedianBased
-from .tensor_ops import _as_int, _check_ranks, _check_shape, multi_mode_product
+from .tensor_ops import _as_int, _check_ranks, _check_shape, _real, multi_mode_product
 
 __all__ = [
     "METHODS",
@@ -184,7 +184,7 @@ def add_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     """x + sigma * E with E iid standard normal; deterministic per seed."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    a = np.asarray(x, dtype=np.float64)
+    a = _real(x)
     rng = np.random.default_rng(seed)
     return a + sigma * rng.standard_normal(a.shape)
 
@@ -207,7 +207,7 @@ def inject_outliers(x, ratio: float, scale: float, seed: int) -> np.ndarray:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive, got {scale!r}")
-    a = np.asarray(x, dtype=np.float64)
+    a = _real(x)
     count = _outlier_count(ratio, a.size)
     rng = np.random.default_rng(seed)
     idx = rng.choice(a.size, size=count, replace=False)

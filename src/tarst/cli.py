@@ -25,6 +25,7 @@ from . import bench
 from .decomp import reconstruct, tarst
 from .svht import KnownSigma, MedianBased, _bisect, lambda_star, mp_median, omega
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
+from .tensor_ops import _real
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,7 +143,7 @@ def summarize(samples) -> SummaryStat:
     to a point interval. The t quantile inverts the closed-form t
     distribution (``_t975``), so no statistics library is needed.
     """
-    arr = np.asarray(list(samples), dtype=np.float64)
+    arr = _real(list(samples))
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
     mean = float(arr.mean())

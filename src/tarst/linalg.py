@@ -79,6 +79,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor_ops import _real
+
 __all__ = ["svd"]
 
 # Gram routes: a matrix whose short side is at most 1 / _GRAM_ASPECT of its
@@ -104,7 +106,7 @@ def svd(m):
     freedom of singular vectors; downstream code only forms projectors
     U U^T, which are sign-invariant.
     """
-    a = np.asarray(m, dtype=np.float64)
+    a = _real(m)
     if a.ndim != 2:
         raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
     rows, cols = a.shape

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .tensor_ops import _in_range, _norm, _sums_of_squares
+from .tensor_ops import _in_range, _norm, _real, _sums_of_squares
 
 __all__ = ["rrse"]
 
@@ -25,8 +23,8 @@ def rrse(est, truth) -> float:
     ``frobenius_norm``'s power-of-two fallback over a full-size
     ``est - truth``.
     """
-    e = np.asarray(est, dtype=np.float64)
-    x = np.asarray(truth, dtype=np.float64)
+    e = _real(est)
+    x = _real(truth)
     if e.shape != x.shape:
         raise ValueError(f"shape mismatch: {e.shape} vs {x.shape}")
     sx, sd = _sums_of_squares(x, e)

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor_ops import _as_int
+from .tensor_ops import _as_int, _real
 
 __all__ = [
     "KnownSigma",
@@ -199,7 +199,7 @@ def threshold_for_unfolding(m: int, n: int, rule: KnownSigma | MedianBased, s=No
     sqrt(max(m, n)).
     """
     if s is not None:
-        s = np.sort(np.asarray(s, dtype=np.float64), axis=None)[::-1]
+        s = np.sort(_real(s), axis=None)[::-1]
         if np.isnan(s).any():
             raise ValueError("spectrum has NaN entries")
     return _cutoff(_as_int(m, "m"), _as_int(n, "n"), rule, s)
@@ -211,7 +211,7 @@ def hard_threshold(s, tau: float):
     ``s`` is a one-dimensional, nonincreasing spectrum without NaN.
     Returns ``(kept, rank)`` with ``rank = #{i : s[i] >= tau}``.
     """
-    arr = np.asarray(s, dtype=np.float64)
+    arr = _real(s)
     if arr.ndim != 1:
         raise ValueError("spectrum must be one-dimensional")
     if np.isnan(arr).any():

@@ -1,20 +1,22 @@
-"""Dense N-way tensor primitives: unfolding, folding, n-mode products, norms.
+"""Dense N-way tensor primitives: unfolding, n-mode products, norms.
 
 Tensors are numpy float64 arrays. The canonical linearization is C order
 (row-major, last index fastest) and every routine in the package sticks to
 it. The mode-k unfolding sends axis k to the rows; the remaining axes keep
-their relative order and are flattened C-style into the columns, so
-``fold(unfold(t, k), k, t.shape)`` is the identity bit for bit. Both
-reject a zero extent; the kernels and the products accept one, since a
-degenerate model's core has extent 0 in a mode that kept nothing.
+their relative order and are flattened C-style into the columns, so it is
+``np.moveaxis(t, k, 0).reshape(t.shape[k], -1)`` bit for bit, and numpy
+undoes it. ``unfold`` rejects a zero extent; the kernels and the products
+accept one, since a degenerate model's core has extent 0 in a mode that
+kept nothing. Every public function takes real values only: a complex
+input raises TypeError rather than losing its imaginary part.
 
 The n-mode product is one ``np.dot`` on the unfolding, on the same 2-D
 operands ``np.tensordot(u, t, ([1], [k]))`` builds, so every bit matches
-``tensordot`` + ``moveaxis``. ``unfold`` and ``mode_product`` check their
-arguments and call the unchecked kernels ``_unfolding`` and
+``tensordot`` + ``moveaxis``. ``unfold`` and ``multi_mode_product`` check
+their arguments and call the unchecked kernels ``_unfolding`` and
 ``_mode_product`` (axis orders cached per order and mode), which the
 decompositions call after validating their input once: a HOOI sweep pays
-no per-product checks. ``mode_product`` returns a permuted view of its
+no per-product checks. ``_mode_product`` returns a permuted view of its
 product; ``multi_mode_product`` writes its last product straight in C order,
 so the tensors built from it (``reconstruct``, the benchmark generator) are
 C-contiguous. Every pass that streams over a tensor cuts it by one rule,
@@ -40,8 +42,6 @@ import numpy as np
 
 __all__ = [
     "unfold",
-    "fold",
-    "mode_product",
     "multi_mode_product",
     "frobenius_norm",
 ]
@@ -50,8 +50,19 @@ __all__ = [
 _BLOCK = 1 << 16  # float64 entries (512 KiB) per block of a streamed pass
 
 
+def _real(x) -> np.ndarray:
+    """``np.asarray(x, dtype=np.float64)``, the same bits, except that a
+    complex input raises TypeError instead of losing its imaginary part."""
+    a = np.asarray(x)
+    if a.dtype != np.float64:
+        if a.dtype.kind == "c":
+            raise TypeError(f"expected real values, got {a.dtype}")
+        a = a.astype(np.float64)
+    return a
+
+
 def _as_float_array(t) -> np.ndarray:
-    a = np.asarray(t, dtype=np.float64)
+    a = _real(t)
     if a.ndim < 1:
         raise ValueError("tensor must have at least one mode")
     return a
@@ -146,14 +157,16 @@ def _grams(a: np.ndarray, modes) -> dict:
 
 
 def _mode_product(a: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
-    """:func:`mode_product` of a validated array and a fitting float64 matrix."""
+    """The n-mode product of a validated array and a fitting float64 matrix
+    u, contracting u's columns with axis ``mode``: its mode-``mode``
+    unfolding is ``u @ _unfolding(a, mode)``, and it is a permuted view."""
     rest = a.shape[:mode] + a.shape[mode + 1:]
     out = np.dot(u, _unfolding(a, mode))
     return out.reshape((u.shape[0],) + rest).transpose(_axes(a.ndim, mode)[1])
 
 
 def _as_factor(u, extent: int, mode: int) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
+    u = _real(u)
     if u.ndim != 2:
         raise ValueError("factor must be a matrix")
     if u.shape[1] != extent:
@@ -169,41 +182,18 @@ def unfold(t, mode: int) -> np.ndarray:
 
     Rows index mode ``mode``; columns run over the remaining modes in their
     original order, last one fastest (C order). A zero extent raises
-    ``ValueError("invalid shape ...")``, as in :func:`fold`.
+    ``ValueError("invalid shape ...")``.
     """
     a = _as_float_array(t)
     _check_shape(a.shape)
     return _unfolding(a, _check_mode(a.ndim, mode))
 
 
-def fold(m, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given mode and target shape."""
-    a = np.asarray(m, dtype=np.float64)
-    shape = _check_shape(shape)
-    mode = _check_mode(len(shape), mode)
-    rest = tuple(s for j, s in enumerate(shape) if j != mode)
-    if a.ndim != 2 or a.shape != (shape[mode], math.prod(rest)):
-        raise ValueError(
-            f"matrix of shape {a.shape} cannot fold into {shape} along mode {mode}"
-        )
-    return np.moveaxis(a.reshape((shape[mode],) + rest), 0, mode)
-
-
-def mode_product(t, u, mode: int) -> np.ndarray:
-    """n-mode product t x_mode u, contracting u's columns with axis ``mode``.
-
-    Satisfies ``unfold(mode_product(t, u, k), k) == u @ unfold(t, k)``.
-    """
-    a = _as_float_array(t)
-    mode = _check_mode(a.ndim, mode)
-    return _mode_product(a, _as_factor(u, a.shape[mode], mode), mode)
-
-
 def multi_mode_product(t, factors) -> np.ndarray:
     """Apply one factor per mode in sequence: ``t x_0 U_0 ... x_{N-1} U_{N-1}``.
 
-    The result is always C-contiguous. Modes 0 ... N-2 go through
-    :func:`mode_product`'s kernel; the last product is written straight in
+    The result is always C-contiguous. Modes 0 ... N-2 go through the
+    kernel :func:`_mode_product`; the last product is written straight in
     C order as ``m @ U_{N-1}^T``, m the running tensor viewed as
     prod(rest) x r_{N-1} (gathered first when it is a permuted view, a copy
     whose last extent is the rank, not the output's extent). That product
@@ -287,5 +277,5 @@ def frobenius_norm(t) -> float:
     larger than one slab. A result not :func:`_in_range` is taken
     again by :func:`_norm`'s exact power-of-two fallback, so
     ``frobenius_norm(2**k * t) == 2**k * frobenius_norm(t)`` bit for bit."""
-    x = np.asarray(t, dtype=np.float64)
+    x = _real(t)
     return _norm(x, math.sqrt(_sums_of_squares(x)[0]))

@@ -1,13 +1,16 @@
-"""The decompositions against references built from the checked primitives.
+"""The decompositions against references built from checked primitives.
 
 ``hosvd``, ``hooi``, ``tarst`` and ``reconstruct`` validate their input once
 and then work on it with unchecked kernels. The references below call only
-the public, fully checked ``svd``, ``mode_product`` and ``unfold``, in the
-order the decompositions use, and count their own ``svd`` calls, so every
-factor, core, fit, factorization count and benchmark record must agree bit
-for bit. The public functions must also keep raising the same exceptions
-with the same messages.
+the public, fully checked ``svd`` and ``unfold``, and numpy's own n-mode
+product, ``tensordot`` + ``moveaxis``, in the order the decompositions use,
+and count their own ``svd`` calls, so every factor, core, fit,
+factorization count and benchmark record must agree bit for bit. The
+public functions must also keep raising the same exceptions with the same
+messages.
 """
+
+import os
 
 import re
 import warnings
@@ -17,17 +20,24 @@ import numpy as np
 import pytest
 
 from conftest import stop_hooi_at
-from tarst import bench, decomp
+from tarst import bench, cli, decomp
 from tarst.decomp import TuckerModel, hooi, hosvd, reconstruct, tarst
 from tarst.linalg import svd
 from tarst.svht import (KnownSigma, MedianBased, hard_threshold,
                         threshold_for_unfolding)
-from tarst.tensor_ops import fold, frobenius_norm, mode_product, unfold
+from tarst.metrics import rrse
+from tarst.tensor_io import write_tensor
+from tarst.tensor_ops import frobenius_norm, multi_mode_product, unfold
+
+
+def _tensordot_mode_product(t, u, k):
+    """The n-mode product t x_k u, as tensordot + moveaxis spell it."""
+    return np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
 
 
 def _project(t, factors):
     for k, u in enumerate(factors):
-        t = mode_product(t, u.T, k)
+        t = _tensordot_mode_product(t, u.T, k)
     return t
 
 
@@ -51,10 +61,10 @@ def _ref_hooi(y, ranks, tol=1e-8, max_iter=50):
         for k in range(y.ndim):
             w = prefix
             for j in range(k + 1, y.ndim):
-                w = mode_product(w, factors[j].T, j)
+                w = _tensordot_mode_product(w, factors[j].T, j)
             factors[k] = svd(unfold(w, k))[0][:, :ranks[k]]
             calls += 1
-            prefix = mode_product(prefix, factors[k].T, k)
+            prefix = _tensordot_mode_product(prefix, factors[k].T, k)
         fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0
         fits.append(fit)
         if abs(fit - prev_fit) < tol:
@@ -82,7 +92,7 @@ def _ref_tarst(y, rule):
 def _ref_reconstruct(model):
     t = np.asarray(model.core, dtype=np.float64)
     for k, u in enumerate(model.factors):
-        t = mode_product(t, u, k)
+        t = _tensordot_mode_product(t, u, k)
     return t
 
 
@@ -248,10 +258,7 @@ BOUNDARY = [
     (lambda: unfold(np.float64(1.0), 0), ValueError, "tensor must have at least one mode"),
     (lambda: unfold(_Z, 2), ValueError, "mode 2 out of range for a 2-way tensor"),
     (lambda: unfold(_Z, -1), ValueError, "mode -1 out of range for a 2-way tensor"),
-    (lambda: mode_product(5.0, np.eye(2), 0), ValueError, "tensor must have at least one mode"),
-    (lambda: mode_product(_Z, np.eye(2), 2), ValueError, "mode 2 out of range for a 2-way tensor"),
-    (lambda: mode_product(_Z, np.zeros(3), 0), ValueError, "factor must be a matrix"),
-    (lambda: mode_product(_Z, np.zeros((4, 3)), 0), ValueError,
+    (lambda: multi_mode_product(_Z, [np.zeros((4, 3)), np.eye(3)]), ValueError,
      "factor with 3 columns cannot contract mode 0 of extent 2"),
     pytest.param(lambda: hosvd(5.0, ()), ValueError, "tensor must have at least one mode",
                  id="<lambda>-ValueError-input must have at least one mode (hosvd)"),
@@ -286,11 +293,38 @@ BOUNDARY = [
                  id="<lambda>-ValueError-factor 1 has 3 columns against core extent 2"),
     (lambda: reconstruct(TuckerModel(core=np.zeros(2), factors=[np.zeros(2)])),
      ValueError, "factor must be a matrix"),
-    pytest.param(lambda: fold(_Z, 0, 5), TypeError, "shape must be a sequence of integers, got 5",
-                 id="<lambda>-TypeError-shape must be a sequence of integers, got 5 (fold)"),
     pytest.param(lambda: bench.Pattern1Config(shape=5), TypeError,
                  "shape must be a sequence of integers, got 5",
                  id="<lambda>-TypeError-shape must be a sequence of integers, got 5 (config)"),
+]
+
+
+_C = _Z * 1j
+
+# a complex input is refused, not cast to its real part, at every entry
+# point that takes an array
+BOUNDARY += [
+    pytest.param(call, TypeError, "expected real values, got complex128",
+                 id=f"<lambda>-TypeError-complex input ({name})")
+    for name, call in [
+        ("svd", lambda: svd(_C)),
+        ("unfold", lambda: unfold(_C, 0)),
+        ("multi_mode_product", lambda: multi_mode_product(_C, [np.eye(2), np.eye(3)])),
+        ("multi_mode_product factor",
+         lambda: multi_mode_product(_Z, [np.eye(2) * 1j, np.eye(3)])),
+        ("frobenius_norm", lambda: frobenius_norm(_C)),
+        ("hosvd", lambda: hosvd(_C, (1, 1))),
+        ("hooi", lambda: hooi(_C, (1, 1))),
+        ("tarst", lambda: tarst(_C, MedianBased())),
+        ("rrse", lambda: rrse(_C, _Z + 1.0)),
+        ("threshold_for_unfolding",
+         lambda: threshold_for_unfolding(2, 3, MedianBased(), [2.0, 1.0j])),
+        ("hard_threshold", lambda: hard_threshold([2.0, 1.0j], 1.5)),
+        ("write_tensor", lambda: write_tensor(_C, os.devnull)),
+        ("add_gaussian_noise", lambda: bench.add_gaussian_noise(_C, 1.0, 0)),
+        ("inject_outliers", lambda: bench.inject_outliers(_C, 0.5, 10.0, 0)),
+        ("summarize", lambda: cli.summarize(_C.ravel())),
+    ]
 ]
 
 

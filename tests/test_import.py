@@ -76,8 +76,7 @@ PUBLIC = {
         "mp_median", "omega", "threshold_for_unfolding", "hard_threshold",
     ],
     "tarst.tensor_io": ["TensorFormatError", "read_tensor", "write_tensor"],
-    "tarst.tensor_ops": ["unfold", "fold", "mode_product", "multi_mode_product",
-                         "frobenius_norm"],
+    "tarst.tensor_ops": ["unfold", "multi_mode_product", "frobenius_norm"],
 }
 
 
@@ -111,7 +110,7 @@ def test_import_tarst_leaves_the_harness_and_the_cli_unloaded():
     # a fresh interpreter, so no other test has imported either submodule
     out = json.loads(subprocess.run([sys.executable, "-c", NAMESPACE], capture_output=True,
                                     text=True, check=True).stdout)
-    assert out == {"loaded": [], "names": 24, "stray": [], "bench": []}
+    assert out == {"loaded": [], "names": 22, "stray": [], "bench": []}
 
 
 def test_package_exports_exactly_the_module_lists():

@@ -276,7 +276,7 @@ def test_read_rejects_huge_declared_count_before_allocating(tmp_path):
 
 
 def test_write_rejects_zero_extent(tmp_path):
-    # the one shape check of tensor_ops names the fault, as for fold and hosvd
+    # the one shape check of tensor_ops names the fault, as for unfold and hosvd
     for shape in [(0,), (2, 0), (0, 3, 1)]:
         with pytest.raises(ValueError, match=rf"^invalid shape {re.escape(repr(shape))}$"):
             write_tensor(np.zeros(shape), tmp_path / "t.txt")

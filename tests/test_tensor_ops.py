@@ -1,8 +1,10 @@
 """Tests for the dense tensor primitives.
 
 The unfolding convention (rows = chosen mode, columns = remaining modes in
-C order, last fastest) is frozen here against hand-expanded matrices, and
-the algebraic identities are exercised under randomized inputs.
+C order, last fastest) is frozen here against hand-expanded matrices and
+numpy's ``moveaxis`` + ``reshape``, the n-mode product kernel against
+``tensordot`` + ``moveaxis``, and the algebraic identities are exercised
+under randomized inputs.
 """
 
 import math
@@ -16,8 +18,8 @@ from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
 from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
 from tarst import tensor_ops
-from tarst.tensor_ops import (_BLOCK, _grams, _sums_of_squares, _unfolding, fold,
-                              frobenius_norm, mode_product, multi_mode_product, unfold)
+from tarst.tensor_ops import (_BLOCK, _grams, _mode_product, _sums_of_squares, _unfolding,
+                              frobenius_norm, multi_mode_product, unfold)
 
 # t[i, j, k] = 1 + 4i + 2j + k, so each unfolding below can be checked by eye
 T222 = np.arange(1.0, 9.0).reshape(2, 2, 2)
@@ -49,13 +51,21 @@ def test_unfold_vector_is_row_count_one_free():
     np.testing.assert_array_equal(unfold(v, 0), [[1.0], [2.0], [3.0]])
 
 
+def _assert_unfolds_and_folds_back(t, mode):
+    """unfold is numpy's moveaxis + reshape bit for bit (strides aside, which
+    numpy may set apart on an extent-1 axis), and numpy's reshape +
+    moveaxis gives t back."""
+    m = unfold(t, mode)
+    want = np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
+    assert m.shape == want.shape and m.tobytes() == want.tobytes()
+    rest = t.shape[:mode] + t.shape[mode + 1:]
+    assert np.array_equal(np.moveaxis(m.reshape((t.shape[mode],) + rest), 0, mode), t)
+
+
 @settings(max_examples=250, deadline=None)
 @given(tensor_and_mode())
 def test_fold_unfold_round_trip_bit_exact(tm):
-    t, mode = tm
-    back = fold(unfold(t, mode), mode, t.shape)
-    assert back.dtype == np.float64
-    assert np.array_equal(back, t)
+    _assert_unfolds_and_folds_back(*tm)
 
 
 def test_fold_unfold_round_trip_seeded_sweep():
@@ -66,7 +76,7 @@ def test_fold_unfold_round_trip_seeded_sweep():
         shape = tuple(int(s) for s in rng.integers(1, 6, size=ndim))
         t = rng.standard_normal(shape)
         for mode in range(ndim):
-            assert np.array_equal(fold(unfold(t, mode), mode, shape), t)
+            _assert_unfolds_and_folds_back(t, mode)
 
 
 @given(tensor_and_mode(min_dims=2))
@@ -80,15 +90,15 @@ def test_norm_consistency_under_unfolding(tm):
 @given(tensor_two_modes_two_factors())
 def test_mode_product_distinct_modes_commute(case):
     t, u, j, v, k = case
-    left = mode_product(mode_product(t, u, j), v, k)
-    right = mode_product(mode_product(t, v, k), u, j)
+    left = _mode_product(_mode_product(t, u, j), v, k)
+    right = _mode_product(_mode_product(t, v, k), u, j)
     np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-9)
 
 
 @given(tensor_two_modes_two_factors())
 def test_unfolding_compatibility(case):
     t, u, j, _, _ = case
-    lhs = unfold(mode_product(t, u, j), j)
+    lhs = unfold(_mode_product(t, u, j), j)
     rhs = u @ unfold(t, j)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-9)
 
@@ -97,12 +107,12 @@ def test_mode_product_identity_is_noop():
     rng = np.random.default_rng(5)
     t = rng.standard_normal((4, 3, 5))
     for k in range(3):
-        np.testing.assert_array_equal(mode_product(t, np.eye(t.shape[k]), k), t)
+        np.testing.assert_array_equal(_mode_product(t, np.eye(t.shape[k]), k), t)
 
 
 def test_mode_product_zero_annihilates():
     t = np.ones((2, 3, 4))
-    out = mode_product(t, np.zeros((5, 3)), 1)
+    out = _mode_product(t, np.zeros((5, 3)), 1)
     assert out.shape == (2, 5, 4)
     assert np.all(out == 0.0)
 
@@ -112,7 +122,7 @@ def test_mode_product_loop_oracle():
     rng = np.random.default_rng(7)
     t = rng.standard_normal((2, 3, 4))
     u = rng.standard_normal((5, 3))
-    out = mode_product(t, u, 1)
+    out = _mode_product(t, u, 1)
     for i in range(2):
         for r in range(5):
             for k in range(4):
@@ -137,15 +147,20 @@ def test_mode_product_bit_identical_to_tensordot(shape):
     rng = np.random.default_rng(sum(shape) * 31 + len(shape))
     t = rng.standard_normal(shape)
     # a non-contiguous input too: the moved-axis output of another product
-    t_view = mode_product(t, rng.standard_normal((shape[0], shape[0])), 0)
-    for a in (t, t_view):
+    t_view = _mode_product(t, rng.standard_normal((shape[0], shape[0])), 0)
+    for a in (t, np.asfortranarray(t), t_view):
         for k, n in enumerate(shape):
             for rows in (0, 1, 3, n):
                 u = rng.standard_normal((rows, n))
-                _assert_same_bits(mode_product(a, u, k), _tensordot_mode_product(a, u, k))
+                _assert_same_bits(_mode_product(a, u, k), _tensordot_mode_product(a, u, k))
                 # transposed (F-ordered) factor, as HOOI and the core apply them
                 ut = rng.standard_normal((n, rows)).T
-                _assert_same_bits(mode_product(a, ut, k), _tensordot_mode_product(a, ut, k))
+                _assert_same_bits(_mode_product(a, ut, k), _tensordot_mode_product(a, ut, k))
+    # the identity, and a mode given as a numpy integer
+    for k, n in enumerate(shape):
+        got = _mode_product(t, np.eye(n), np.int32(k))
+        _assert_same_bits(got, _tensordot_mode_product(t, np.eye(n), k))
+        assert np.array_equal(got, t)
 
 
 @pytest.mark.parametrize("shape, k", [((0, 3, 4), 0), ((3, 0, 4), 1), ((2, 3, 0), 2),
@@ -157,7 +172,7 @@ def test_mode_product_zero_column_factor(shape, k):
     t = np.zeros(shape)
     for rows in (2, 0):
         u = rng.standard_normal((rows, 0))
-        got = mode_product(t, u, k)
+        got = _mode_product(t, u, k)
         want = _tensordot_mode_product(t, u, k)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -177,21 +192,18 @@ def test_unfold_bit_identical_to_moveaxis_and_zero_sizes():
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4)])
-def test_unfold_rejects_a_zero_extent_as_fold_does(shape):
-    # fold inverts unfold on every input unfold accepts
+def test_unfold_rejects_a_zero_extent(shape):
     message = f"^invalid shape {re.escape(repr(shape))}$"
     for mode in range(len(shape)):
         with pytest.raises(ValueError, match=message):
             unfold(np.zeros(shape), mode)
-        with pytest.raises(ValueError, match=message):
-            fold(np.zeros((1, 1)), mode, shape)
 
 
 def test_mode_product_rejects_mismatched_factor():
     with pytest.raises(ValueError, match="contract mode"):
-        mode_product(np.zeros((2, 3)), np.zeros((4, 5)), 1)
+        multi_mode_product(np.zeros((2, 3)), [np.eye(2), np.zeros((4, 5))])
     with pytest.raises(ValueError, match="matrix"):
-        mode_product(np.zeros((2, 3)), np.zeros(3), 1)
+        multi_mode_product(np.zeros((2, 3)), [np.eye(2), np.zeros(3)])
 
 
 def test_bad_mode_rejected():
@@ -203,34 +215,21 @@ def test_bad_mode_rejected():
 
 def test_non_integer_mode_or_extent_raises_type_error():
     # int() used to truncate: unfold(t, 1.7) unfolded mode 1, and a
-    # (4.5, 4, 4) target shape folded to 4 x 4 x 4
+    # (4.5, 4, 4) shape made a 4 x 4 x 4 tensor
     t = np.arange(64.0).reshape(4, 4, 4)
     for bad in (1.7, 1.0, "1"):
         with pytest.raises(TypeError, match="mode must be an integer"):
             unfold(t, bad)
-        with pytest.raises(TypeError, match="mode must be an integer"):
-            mode_product(t, np.eye(4), bad)
-        with pytest.raises(TypeError, match="mode must be an integer"):
-            fold(unfold(t, 1), bad, t.shape)
     for shape in [(4.5, 4, 4), (4.0, 4, 4), (4, 4, np.float64(4))]:
         with pytest.raises(TypeError, match="extent must be an integer"):
-            fold(unfold(t, 0), 0, shape)
+            gen_lowrank_tensor(shape, (2, 2, 2), 10.0, 2.0, 0)
     # numpy integers are integers
-    m = unfold(t, np.int64(1))
-    np.testing.assert_array_equal(m, unfold(t, 1))
-    np.testing.assert_array_equal(fold(m, np.uint8(1), np.array([4, 4, 4])), t)
-    np.testing.assert_array_equal(mode_product(t, np.eye(4), np.int32(2)), t)
-
-
-def test_fold_rejects_wrong_geometry():
-    with pytest.raises(ValueError, match="cannot fold"):
-        fold(np.zeros((3, 7)), 0, (3, 2, 4))
-    with pytest.raises(ValueError, match=r"^invalid shape \(2, 0\)$"):
-        fold(np.zeros((2, 2)), 0, (2, 0))
+    for mode in (np.int64(1), np.uint8(1)):
+        np.testing.assert_array_equal(unfold(t, mode), unfold(t, 1))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0, 2), ()])
-def test_one_shape_rule_for_generator_config_and_fold(shape, monkeypatch):
+def test_one_shape_rule_for_generator_and_config(shape, monkeypatch):
     # the generator used to report (0, 3) as a rank fault and to draw random
     # numbers before it failed on ()
     def no_draws(*args, **kwargs):
@@ -243,8 +242,6 @@ def test_one_shape_rule_for_generator_config_and_fold(shape, monkeypatch):
         gen_lowrank_tensor(shape, ranks, 10.0, 2.0, 0)
     with pytest.raises(ValueError, match=message):
         Pattern1Config(shape=shape, true_ranks=ranks)
-    with pytest.raises(ValueError, match=message):
-        fold(np.zeros((1, 1)), 0, shape)
 
 
 def test_multi_mode_product_matches_sequential():
@@ -252,13 +249,13 @@ def test_multi_mode_product_matches_sequential():
     t = rng.standard_normal((3, 4, 5))
     us = [rng.standard_normal((2, 3)), rng.standard_normal((6, 4)),
           rng.standard_normal((2, 5))]
-    want = mode_product(mode_product(mode_product(t, us[0], 0), us[1], 1), us[2], 2)
+    want = _mode_product(_mode_product(_mode_product(t, us[0], 0), us[1], 1), us[2], 2)
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
     # full rank: the last product, written in C order, may round apart from
     # the chain on a few entries, depending on the BLAS kernel
     t = rng.standard_normal((50, 50, 50))
     us = [np.linalg.qr(rng.standard_normal((50, 50)))[0] for _ in range(3)]
-    want = mode_product(mode_product(mode_product(t, us[0], 0), us[1], 1), us[2], 2)
+    want = _mode_product(_mode_product(_mode_product(t, us[0], 0), us[1], 1), us[2], 2)
     np.testing.assert_allclose(multi_mode_product(t, us), want, rtol=1e-12)
 
 
@@ -266,7 +263,7 @@ def _last_product(core, us):
     """multi_mode_product(core, us) and one np.dot for its last product."""
     m = core
     for k in range(core.ndim - 1):
-        m = mode_product(m, us[k], k)
+        m = _mode_product(m, us[k], k)
     rest = m.shape[:-1]
     want = np.dot(m.reshape(-1, m.shape[-1]), us[-1].T).reshape(rest + (us[-1].shape[0],))
     return multi_mode_product(core, us), want
@@ -452,7 +449,7 @@ def test_products_reconstructions_and_generated_tensors_are_c_order(shape):
     t = rng.standard_normal(shape)
     outputs = [multi_mode_product(core, qs),
                multi_mode_product(np.asfortranarray(t), [q.T for q in qs]),
-               multi_mode_product(mode_product(t, np.eye(shape[0]), 0), [q.T for q in qs]),
+               multi_mode_product(_mode_product(t, np.eye(shape[0]), 0), [q.T for q in qs]),
                reconstruct(TuckerModel(core=core, factors=qs))]
     truth = gen_lowrank_tensor(shape, ranks, 10.0, 2.0, seed=5)
     outputs += [truth, add_gaussian_noise(truth, 0.5, seed=6),

@@ -1,7 +1,8 @@
 """The source line counter: every line of the package is counted once, the
-public names are those of ``tarst.__all__``, and the settable surfaces of
-the package and of the benchmark harness are what the imported modules'
-signatures and dataclass annotations say."""
+public names are those of ``tarst.__all__``, the settable surfaces of the
+package and of the benchmark harness are what the imported modules'
+signatures and dataclass annotations say, and every public name is
+referred to by the package or the benchmark."""
 
 import dataclasses
 import importlib.util
@@ -27,11 +28,14 @@ def _loc_module():
 def test_loc_counts_sum_to_each_files_line_count():
     out = subprocess.run([sys.executable, str(LOC)], capture_output=True, text=True,
                          check=True).stdout
-    *table, names, surface, bench_surface = out.splitlines()
+    *table, names, surface, bench_surface, unreferenced = out.splitlines()
     loc = _loc_module()
     assert names == f"public names: {len(tarst.__all__)}"
     assert surface == f"settable surface: {loc.settable_surface(loc._public())}"
     assert bench_surface == f"bench settable surface: {loc.settable_surface(loc._names('bench'))}"
+    # a public name that nothing in the package or the benchmark calls fails
+    # here: drop it, or call it
+    assert unreferenced == "unreferenced public names: none"
     header, *rows = (line.split() for line in table)
     assert header == ["file", "code", "docstring", "blank", "comment", "lines"]
     files = sorted((ROOT / "src" / "tarst").glob("*.py"))
@@ -50,6 +54,27 @@ def test_loc_kinds_of_lines(tmp_path):
                  '        """Two\n        lines."""\n        x = "not a docstring"\n'
                  '        return x  # trailing comments are code\n')
     assert _loc_module().count(p) == {"code": 5, "docstring": 6, "blank": 4, "comment": 1}
+
+
+def test_loc_unreferenced_public_names(tmp_path, monkeypatch):
+    pkg, bench_dir = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench_dir.mkdir()
+    (pkg / "a.py").write_text(
+        '__all__ = ["called", "unused", "traced", "imported", "attr", "defined"]\n\n\n'
+        'def called(called=1):\n    return called\n\n\n'
+        'def unused(unused=0):\n    return "unused " + "x"\n\n\n'
+        'def defined():\n    pass\n\n\ndefined = 2\n')
+    (pkg / "__init__.py").write_text('from .a import *\n__all__ = ["__version__"]\n')
+    (pkg / "b.py").write_text('from .a import imported\n__all__ = ["unused"]\n'
+                              'y = called()\nz = pkg.attr\n')
+    (bench_dir / "t.py").write_text('TRACED = (("a", "traced"),)\n')
+    loc = _loc_module()
+    monkeypatch.setattr(loc, "PACKAGE", pkg)
+    # parameters, other strings, __all__ entries and definitions are no
+    # reference, and __version__ is no public name here
+    assert loc.unreferenced((pkg, bench_dir)) == ["unused", "defined", "unused"]
+    assert loc.unreferenced((pkg,)) == ["unused", "traced", "defined", "unused"]
 
 
 def _settable(obj) -> int:

@@ -11,20 +11,26 @@ that add up to each file's line count:
 * comment: other lines whose first non-blank character is ``#``;
 * code: every other line.
 
-Three last lines give the number of public names (the length of
+Four last lines give the number of public names (the length of
 ``tarst.__all__``); the settable surface: the parameters of the public
 functions plus the fields a public dataclass declares itself (any other
 public name, such as an exception class or ``__version__``, counts none);
-and the same surface over ``tarst.bench.__all__``, the benchmark harness's
-knobs. All are read with ``ast`` without importing the package:
-``__init__.py`` joins the modules' ``__all__`` lists and adds
-``__version__``.
+the same surface over ``tarst.bench.__all__``, the benchmark harness's
+knobs; and the unreferenced public names: the names of the modules'
+``__all__`` lists that no Python file under src/tarst or perfbench refers
+to, or ``none``. A reference is an identifier, an attribute, an imported
+name or a string constant equal to the name, outside any ``__all__``
+list; a definition (``def``, ``class`` or an assigned name) is none. All
+are read with ``ast`` without importing the package: ``__init__.py``
+joins the modules' ``__all__`` lists and adds ``__version__``.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tarst"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tarst"
+PERFBENCH = ROOT / "perfbench"
 KINDS = ("code", "docstring", "blank", "comment")
 
 
@@ -58,11 +64,15 @@ def _body(module: str) -> list:
     return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body
 
 
+def _assigns_all(node) -> bool:
+    """Whether ``node`` is the statement ``__all__ = ...``."""
+    return (isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+
+
 def _all_node(module: str):
     """The expression assigned to ``__all__`` in ``module``'s source file."""
-    return next(node.value for node in _body(module)
-                if isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+    return next(node.value for node in _body(module) if _assigns_all(node))
 
 
 def _names(module: str):
@@ -108,6 +118,36 @@ def settable_surface(names) -> int:
                for module, name in names)
 
 
+def _references(tree):
+    """The names one parsed file refers to, by the rule of the module
+    docstring."""
+    skip = {id(n) for node in ast.walk(tree) if _assigns_all(node)
+            for n in ast.walk(node.value)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            yield node.value
+
+
+def unreferenced(roots=(PACKAGE, PERFBENCH)) -> list:
+    """The names of the package modules' ``__all__`` lists, ``__version__``
+    aside, in file and list order, that no ``*.py`` file under ``roots``
+    refers to."""
+    names = [item.value for path in sorted(PACKAGE.glob("*.py"))
+             for node in _body(path.stem) if _assigns_all(node)
+             for item in node.value.elts
+             if isinstance(item, ast.Constant) and item.value != "__version__"]
+    seen = {name for root in roots for path in sorted(Path(root).rglob("*.py"))
+            for name in _references(ast.parse(path.read_text(encoding="utf-8")))}
+    return [name for name in names if name not in seen]
+
+
 def main() -> None:
     rows = {path.name: count(path) for path in sorted(PACKAGE.glob("*.py"))}
     rows["total"] = {kind: sum(row[kind] for row in rows.values()) for kind in KINDS}
@@ -118,6 +158,7 @@ def main() -> None:
     print(f"public names: {public_names()}")
     print(f"settable surface: {settable_surface(_public())}")
     print(f"bench settable surface: {settable_surface(_names('bench'))}")
+    print(f"unreferenced public names: {', '.join(unreferenced()) or 'none'}")
 
 
 if __name__ == "__main__":
