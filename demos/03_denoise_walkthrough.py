@@ -7,8 +7,6 @@ the retained counts ARE the rank estimate. HOSVD and HOOI are run with the
 true ranks handed to them, which is the information advantage they need.
 """
 
-import numpy as np
-
 from tarst.bench import add_gaussian_noise, gen_lowrank_tensor
 from tarst.decomp import hooi, hosvd, reconstruct, tarst
 from tarst.metrics import rrse

@@ -48,9 +48,6 @@ __all__ = [
 
 METHODS = ("Baseline", "HOSVD", "HOOI", "TARST")
 
-DEFAULT_OUTLIER_RATIOS = (0.01, 0.05, 0.10, 0.25, 0.50)
-DEFAULT_OUTLIER_SCALES = (10.0, 25.0, 50.0, 100.0)
-
 # the truth model of every run: gen_lowrank_tensor's constant mean and entry std
 TRUE_MEAN = 10.0
 TRUE_STD = 2.0
@@ -137,8 +134,8 @@ class Pattern2Config(Pattern1Config):
     """Outlier-robustness grid: Pattern 1's fields with the outlier axes
     filled by default."""
 
-    outlier_ratios: tuple = DEFAULT_OUTLIER_RATIOS
-    outlier_scales: tuple = DEFAULT_OUTLIER_SCALES
+    outlier_ratios: tuple = (0.01, 0.05, 0.10, 0.25, 0.50)
+    outlier_scales: tuple = (10.0, 25.0, 50.0, 100.0)
 
 
 @dataclass(frozen=True)

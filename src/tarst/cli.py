@@ -1,14 +1,8 @@
-"""Command-line front end.
-
-Subcommands:
-  denoise     read a tensor file, threshold it, write the estimate
-  thresholds  print lambda_star / mp_median / omega for an aspect ratio
-  bench-p1    Gaussian-noise sweep benchmark, CSV out
-  bench-p2    outlier-robustness grid benchmark, CSV out
+"""The ``tarst`` command: rank-free tensor denoising and its benchmarks.
 
 Exit codes: 0 success, 1 usage error, 2 tensor parse error, 3 numeric
 failure, 4 I/O error. The denoise report numbers modes from 1, library
-errors from 0. ``summarize`` gives the bench tables' means and 95% CIs.
+errors from 0.
 """
 
 from __future__ import annotations
@@ -16,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -48,36 +42,37 @@ def _method_tuple(text: str) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tarst", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_den = sub.add_parser("denoise", help="denoise a tensor text file")
+    p_den = sub.add_parser("denoise", help="read a tensor file, threshold it, write the estimate")
     p_den.set_defaults(run=cmd_denoise)
     p_den.add_argument("input", help="input tensor file")
     p_den.add_argument("output", help="output tensor file")
     p_den.add_argument("--sigma", type=float, default=None,
                        help="known noise standard deviation (default: the median rule)")
 
-    p_thr = sub.add_parser("thresholds", help="print threshold constants")
+    p_thr = sub.add_parser("thresholds", help="print lambda_star, mp_median and omega")
     p_thr.set_defaults(run=cmd_thresholds)
     p_thr.add_argument("--beta", type=float, required=True,
                        help="aspect ratio in (0, 1]")
 
-    for name, what, config_cls in (("bench-p1", "noise sweep", bench.Pattern1Config),
-                                   ("bench-p2", "outlier grid", bench.Pattern2Config)):
-        p = sub.add_parser(name, help=f"run the {what} benchmark")
+    for name, what, config_cls in (("bench-p1", "Gaussian-noise sweep", bench.Pattern1Config),
+                                   ("bench-p2", "outlier-robustness grid", bench.Pattern2Config)):
+        default = {f.name: f.default for f in fields(config_cls)}
+        p = sub.add_parser(name, help=f"{what} benchmark, CSV out")
         p.set_defaults(run=cmd_bench, config_cls=config_cls)
         p.add_argument("--out", default=f"{name.replace('-', '_')}.csv",
                        help="CSV output path")
         p.add_argument("--matrix-out", default=None,
                        help="optional gnuplot-style matrix file of mean rrse")
-        p.add_argument("--shape", type=_int_tuple, default=(10, 10, 10),
+        p.add_argument("--shape", type=_int_tuple, default=default["shape"],
                        help="tensor extents, e.g. 10,10,10")
-        p.add_argument("--ranks", type=_int_tuple, default=None,
+        p.add_argument("--ranks", type=_int_tuple, default=default["true_ranks"],
                        help="true Tucker ranks, e.g. 3,3,3")
-        p.add_argument("--reps", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--methods", type=_method_tuple, default=bench.METHODS,
-                       help="comma-separated subset of Baseline,HOSVD,HOOI,TARST")
+        p.add_argument("--reps", type=int, default=default["reps"])
+        p.add_argument("--seed", type=int, default=default["seed"])
+        p.add_argument("--methods", type=_method_tuple, default=default["methods"],
+                       help=f"comma-separated subset of {','.join(bench.METHODS)}")
         p.add_argument("--sigma-known", action="store_true",
                        help="give TARST the injected sigma instead of the median rule")
     return parser
@@ -181,14 +176,10 @@ def cmd_bench(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as e:  # --help exits 0; argparse's usage errors exit 2, ours 1
         return EXIT_USAGE if e.code == 2 else int(e.code or 0)
-    if ns.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         return ns.run(ns)
     except TensorFormatError as e:

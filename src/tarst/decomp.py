@@ -209,10 +209,10 @@ def tarst(y, rule: KnownSigma | MedianBased) -> TarstReport:
     ``rule`` is :class:`KnownSigma` or :class:`MedianBased`; any other
     value raises ``TypeError("unknown threshold rule ...")`` from the cutoff
     kernel, once the first unfolding has been factorized. Under the
-    median rule a mode whose unfolding has a single singular value (a mode
-    of extent 1, or the one mode of a 1-way input) keeps rank 1 unless the
-    input is all zero: one value carries no noise information to threshold
-    against.
+    median rule a mode whose spectrum is too short to calibrate against
+    (one value, or two with aspect ratio above 0.3697; see :mod:`svht`)
+    keeps every value above roundoff: a mode of extent 1, or the one mode
+    of a 1-way input, keeps rank 1 unless the input is all zero.
 
     If every singular value of some mode falls below its cutoff the estimate
     is the zero tensor and the report is flagged degenerate; so is the

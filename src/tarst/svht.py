@@ -15,11 +15,14 @@ with atan2 so it stays exact to roundoff at the support edges), computed,
 never tabulated. Squaring gives lambda_star(1) = 4/sqrt(3) and
 omega(1) ~= 2.8584 for square unfoldings. Everything here needs numpy only.
 
-An unfolding with a single singular value (min(m, n) = 1) gives the median
-rule nothing to calibrate against: the median of one value is that value,
-and omega(beta) > 1 would always cut it. Such a mode therefore gets only the
-roundoff floor below, so it keeps rank 1 (its identity projector) unless
-the tensor is all zero.
+A spectrum of ``small = min(m, n)`` values with omega(beta) > small gives
+the median rule nothing to calibrate against: omega(beta) * median would cut
+every value whatever the data. The median of one value is that value, and
+omega > 1 always; the median of two is at least half the larger, and
+omega(beta) > 2 once beta > 0.3697 (2 x 2 up to 2 x 5). omega < 3 for every
+beta, so no larger spectrum qualifies. Such a mode gets only the roundoff
+floor below, so it keeps every value above roundoff: a single singular value
+keeps rank 1 (its identity projector) unless the tensor is all zero.
 
 Whenever the observed spectrum is at hand, under either rule, the cutoff is
 floored at ``max(m, n) * eps * s_max``, the ``numpy.linalg.matrix_rank``
@@ -177,11 +180,13 @@ def _cutoff(m: int, n: int, rule: KnownSigma | MedianBased, s) -> float:
     elif isinstance(rule, MedianBased):
         if s is None or s.size == 0:
             raise ValueError("median-based rule needs the observed spectrum")
-        # one singular value: only the roundoff floor below applies; an even
-        # count's median is the midpoint of the central two, inf on overflow
+        # omega > small: omega * median exceeds s_max whatever the spectrum, so
+        # only the roundoff floor below applies; an even count's median is the
+        # midpoint of the central two, inf on overflow
         h = s.size // 2
         median = float(s[h]) if s.size % 2 else (float(s[h - 1]) + float(s[h])) / 2
-        tau = 0.0 if small == 1 else omega(beta) * median
+        w = omega(beta)
+        tau = 0.0 if w > small else w * median
     else:
         raise TypeError(f"unknown threshold rule {rule!r}")
     if s is not None and s.size:

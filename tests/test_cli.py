@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from conftest import read_records
 
-from tarst.bench import METHODS
-from tarst.cli import main, summarize
+from tarst.bench import METHODS, Pattern1Config, Pattern2Config
+from tarst.cli import build_parser, main, summarize
 from tarst.tensor_io import read_tensor, write_tensor
 
 
@@ -184,8 +184,27 @@ def test_help_exits_zero(capsys):
     assert "denoise" in capsys.readouterr().out
 
 
+def test_help_describes_each_subcommand_once(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "Subcommands:" not in out
+    for name in ("denoise", "thresholds", "bench-p1", "bench-p2"):
+        assert [line.split()[0] for line in out.splitlines() if line.strip()].count(name) == 1
+
+
+@pytest.mark.parametrize("name,config_cls", [("bench-p1", Pattern1Config),
+                                             ("bench-p2", Pattern2Config)])
+def test_bench_option_defaults_are_the_configs(name, config_cls):
+    ns = build_parser().parse_args([name])
+    got = ns.config_cls(shape=ns.shape, true_ranks=ns.ranks, reps=ns.reps, seed=ns.seed,
+                        methods=ns.methods, sigma_known=ns.sigma_known)
+    assert ns.config_cls is config_cls
+    assert got == config_cls()
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
+    assert "the following arguments are required: command" in capsys.readouterr().err
     assert main(["frobnicate"]) == 1
     assert main(["thresholds", "--beta", "1", "--bogus"]) == 1
     capsys.readouterr()  # drain

@@ -300,6 +300,31 @@ def test_tarst_constant_tensor_has_rank_one(c):
         np.testing.assert_allclose(est, y, rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (2, 5), (2, 2, 2)])
+def test_tarst_median_rule_constant_with_two_value_spectra_has_rank_one(shape):
+    # omega(beta) > 2 on these unfoldings, so omega * median would exceed
+    # the larger of two singular values; only the roundoff floor applies
+    y = np.full(shape, 5.0)
+    report = tarst(y, MedianBased())
+    assert report.estimated_ranks == (1,) * len(shape)
+    np.testing.assert_allclose(reconstruct(report.model), y, rtol=1e-12)
+
+
+def test_tarst_median_rule_rank_one_2x2x2():
+    rng = np.random.default_rng(3)
+    u = [v / np.linalg.norm(v) for v in rng.standard_normal((3, 2))]
+    x = 100.0 * np.einsum("i,j,k->ijk", *u)
+    y = x + 0.01 * rng.standard_normal(x.shape)
+    # noise-free, the median rule finds the rank a known sigma finds
+    for z, rule in ((x, MedianBased()), (y, KnownSigma(0.01))):
+        assert tarst(z, rule).estimated_ranks == (1, 1, 1)
+    # noisy, a two-value mode is not thresholded: every value above
+    # roundoff is kept, so the estimate is the input
+    report = tarst(y, MedianBased())
+    assert report.estimated_ranks == (2, 2, 2)
+    np.testing.assert_allclose(reconstruct(report.model), y, rtol=1e-12)
+
+
 def test_tarst_report_bookkeeping():
     rng = np.random.default_rng(10)
     y = rng.standard_normal((5, 6, 7))

@@ -307,15 +307,30 @@ def test_threshold_median_rule_single_singular_value_gets_floor_only():
         lambda_star(1.0 / 400.0) * 20.0)
 
 
+def test_threshold_median_rule_two_values_above_omega_two_get_floor_only():
+    # omega(beta) > 2 from beta ~ 0.3697: omega * median of two values would
+    # exceed the larger one, so only the roundoff floor applies; 2 x 6 is
+    # thresholded as before
+    eps = np.finfo(np.float64).eps
+    s = np.array([3.0, 1.0])
+    for m, n in [(2, 2), (2, 3), (3, 2), (2, 5)]:
+        assert omega(2 / max(m, n)) > 2
+        assert threshold_for_unfolding(m, n, MedianBased(), s) == max(m, n) * eps * 3.0
+    assert omega(1 / 3) < 2
+    assert threshold_for_unfolding(2, 6, MedianBased(), s) == omega(1 / 3) * 2.0
+
+
 def _parent_formula(m, n, rule, s):
     """The cutoff as a general spectrum gives it: numpy's median of s in
-    any order, floored at max(m, n) * eps * max(s)."""
+    any order (none where omega exceeds the spectrum's width), floored at
+    max(m, n) * eps * max(s)."""
     big, small = max(m, n), min(m, n)
     if isinstance(rule, KnownSigma):
         tau = lambda_star(small / big) * math.sqrt(big) * rule.sigma
     else:
         with np.errstate(over="ignore"):
-            tau = 0.0 if small == 1 else omega(small / big) * float(np.median(s))
+            w = omega(small / big)
+            tau = 0.0 if w > small else w * float(np.median(s))
     return max(tau, big * np.finfo(np.float64).eps * float(s.max()))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import tensor_and_mode, tensors, tensor_two_modes_two_factors
+from conftest import tensor_and_mode, tensor_two_modes_two_factors
 from tarst.bench import Pattern1Config, add_gaussian_noise, gen_lowrank_tensor, inject_outliers
 from tarst.decomp import TuckerModel, reconstruct
 from tarst import tensor_ops

@@ -2,8 +2,10 @@
 public names are those of ``tarst.__all__``, the settable surfaces of the
 package and of the benchmark harness are what the imported modules'
 signatures and dataclass annotations say, and every public name is
-referred to by the package or the benchmark."""
+referred to by the package or the benchmark. The package, tests, demos and
+tools import no name they do not use."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -97,3 +99,41 @@ def test_loc_bench_settable_surface_matches_the_imported_harness():
         _settable(getattr(bench, name)) for name in bench.__all__)
     # Pattern2Config counts the two outlier defaults it redeclares
     assert _settable(bench.Pattern2Config) == 2
+
+
+def _unused_imports(path, loc) -> list:
+    """(line, name) for each name that ``path`` imports and never refers to.
+    A name its literal ``__all__`` lists is a re-export, so it counts as used;
+    ``from __future__`` and star imports bind no name to check."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if loc._assigns_all(node):
+            used.update(e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name not in used]
+    return found
+
+
+def test_no_unused_imports():
+    loc = _loc_module()
+    files = sorted(p for d in ("src/tarst", "tests", "demos", "tools")
+                   for p in (ROOT / d).rglob("*.py"))
+    assert len(files) > 20
+    assert [f"{p.relative_to(ROOT)}:{line}: {name}"
+            for p in files for line, name in _unused_imports(p, loc)] == []
+
+
+def test_unused_imports_names_each_unused_binding(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text('from __future__ import annotations\nimport os.path\nimport numpy as np\n'
+                 'from a import b, c as d, e\nfrom f import *\nfrom g import h\n'
+                 '__all__ = ["e"]\n\n\ndef f(x: d):\n    return os.sep\n')
+    assert _unused_imports(p, _loc_module()) == [(3, "np"), (4, "b"), (6, "h")]
