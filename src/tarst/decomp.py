@@ -14,7 +14,7 @@ Each public function converts its input once, rejects a zero extent, and
 then unfolds and multiplies with the unchecked kernels of ``tensor_ops``.
 HOSVD (also HOOI's start) and TARST share one per-mode loop,
 ``_truncated_tucker``, which differs only in how it picks each mode's
-rank; HOOI's sweeps factorize through the same step, ``_factor``. Each
+rank; HOOI's sweeps factorize with ``linalg._svd`` (see :func:`hooi`). Each
 model counts the factorizations that built it in ``svd_calls``: N for
 HOSVD and TARST, N more per HOOI sweep.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _GRAM_ASPECT, _gram_svd, svd
+from .linalg import _GRAM_ASPECT, _gram_svd, _svd, svd
 from .svht import KnownSigma, MedianBased, _cutoff
 from .tensor_ops import (_as_float_array, _check_ranks, _check_shape, _grams, _mode_product,
                          _unfolding, frobenius_norm, multi_mode_product)
@@ -38,6 +38,8 @@ __all__ = ["TuckerModel", "TarstReport", "hosvd", "hooi", "tarst", "reconstruct"
 # stops at a fit change of 1e-4 within 50 iterations)
 _FIT_TOL = 1e-8
 _MAX_SWEEPS = 50
+# Below this input norm no HOOI projection can overflow (see hooi)
+_SAFE_NORM = 2.0 ** 1000
 
 
 @dataclass
@@ -158,6 +160,13 @@ def hooi(y, ranks) -> TuckerModel:
     sweep instead of N^2, in the same order and on the same operands as
     projecting from scratch, so the result is the same bit for bit.
 
+    While ||y||_F is below ``_SAFE_NORM`` (2**1000), a sweep factorizes
+    with ``linalg._svd``, which scans nothing: the HOSVD start has checked
+    the input, and the factors have orthonormal columns (the Gram routes'
+    gates keep s > 0), so every entry and partial sum of a projection is at
+    most ||y||_F (1 + O(eps))^N. At or above it a sweep keeps the checked
+    ``_factor``. Either step gives the same bits.
+
     The projection for mode k has prod(r_j, j != k) columns, so mode k's
     rank is capped by the other ranks as well as by the other extents:
     ``hooi(y, (4, 1, 1))`` returns ranks (1, 1, 1). ``TuckerModel.ranks``
@@ -172,6 +181,11 @@ def hooi(y, ranks) -> TuckerModel:
     start = _truncated_tucker(a, lambda k, cols, s: ranks[k])  # HOSVD
     factors = list(start.factors)
     ynorm = frobenius_norm(a)
+    if ynorm < _SAFE_NORM:
+        factor = _svd
+    else:
+        def factor(m):
+            return _factor(m, FloatingPointError, "HOOI projection overflows float64")
     prev_fit = frobenius_norm(start.core) / ynorm if ynorm > 0 else 0.0
     fits = []
     with np.errstate(over="ignore"):  # overflowed projections and cores raise below
@@ -181,8 +195,7 @@ def hooi(y, ranks) -> TuckerModel:
                 w = prefix
                 for j in range(k + 1, a.ndim):
                     w = _mode_product(w, factors[j].T, j)
-                factors[k] = _factor(_unfolding(w, k), FloatingPointError,
-                                     "HOOI projection overflows float64")[0][:, :ranks[k]]
+                factors[k] = factor(_unfolding(w, k))[0][:, :ranks[k]]
                 prefix = _mode_product(prefix, factors[k].T, k)
             fit = frobenius_norm(prefix) / ynorm if ynorm > 0 else 0.0  # prefix is the core
             if not fit < np.inf and not np.isfinite(prefix).all():  # fit is nan or inf

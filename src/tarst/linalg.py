@@ -1,18 +1,18 @@
 """Thin-SVD contract shared by the thresholding and decomposition code.
 
-:func:`svd` is the package's factorization entry point: HOSVD, TARST and
-HOOI's sweeps call it. It returns the pair ``(u, s)``, the left singular
-vectors and the full spectrum of an m x n matrix, all that the callers read
-(no ``vt``). Its second half, ``_gram_svd``, is the factor step of the Gram
-routes: it takes a Gram matrix already formed, and reads the matrix itself
-only on the paths that need its entries. HOSVD and TARST hand it the Gram
-matrices of the wide middle-mode unfoldings, which ``tensor_ops._grams``
-forms without copying those unfoldings whole. Both are pure functions: the
-module holds no state, and the callers count their own factorizations
-(``TuckerModel.svd_calls``). ``svd`` checks finiteness on every call,
-because a projection of a finite input can overflow. On the Gram routes a
-non-finite entry shows on the diagonal of the Gram matrix, so the input
-gets an ``isfinite`` pass only when that diagonal is not finite.
+:func:`svd` is the package's factorization entry point: HOSVD and TARST
+call it, and HOOI's sweeps its unscanned kernel ``_svd``. It returns the
+pair ``(u, s)``, the left singular vectors and the full spectrum of an
+m x n matrix, all that the callers read (no ``vt``). Its second half,
+``_gram_svd``, is the factor step of the Gram routes: it takes a Gram
+matrix already formed, and reads the matrix itself only on the paths that
+need its entries. HOSVD and TARST hand it the Gram matrices of the wide
+middle-mode unfoldings, which ``tensor_ops._grams`` forms without copying
+those unfoldings whole. All are pure functions: the module holds no state,
+and the callers count their own factorizations (``TuckerModel.svd_calls``).
+``svd`` checks finiteness on every call. On the Gram routes a non-finite
+entry shows on the diagonal of the Gram matrix, so the input gets an
+``isfinite`` pass only when that diagonal is not finite.
 
 Three routes compute the same factor:
 
@@ -109,14 +109,25 @@ def svd(m):
     a = _real(m)
     if a.ndim != 2:
         raise ValueError(f"svd expects a matrix, got {a.ndim} dimensions")
+    if not _gram_shaped(*a.shape) and not np.isfinite(a).all():
+        raise ValueError("svd input has non-finite entries")
+    return _svd(a)
+
+
+def _gram_shaped(rows, cols):
+    """Whether a rows x cols matrix takes the Gram routes."""
+    return 0 < _GRAM_ASPECT * rows <= cols or 0 < _GRAM_ASPECT * cols <= rows
+
+
+def _svd(a):
+    """:func:`svd` of a float64 matrix with no scan: a Gram route still
+    raises on a non-finite entry, seen on the Gram diagonal."""
     rows, cols = a.shape
-    if 0 < _GRAM_ASPECT * rows <= cols or 0 < _GRAM_ASPECT * cols <= rows:
+    if _gram_shaped(rows, cols):
         tall = rows > cols
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             g = _gram(a, tall)  # scaled later instead of a: no scan, no copy of the data
         return _gram_svd(g, lambda: a, tall)
-    if not np.isfinite(a).all():
-        raise ValueError("svd input has non-finite entries")
     return _lapack(a)
 
 

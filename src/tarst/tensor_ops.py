@@ -161,8 +161,9 @@ def _mode_product(a: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     u, contracting u's columns with axis ``mode``: its mode-``mode``
     unfolding is ``u @ _unfolding(a, mode)``, and it is a permuted view."""
     rest = a.shape[:mode] + a.shape[mode + 1:]
-    out = np.dot(u, _unfolding(a, mode))
-    return out.reshape((u.shape[0],) + rest).transpose(_axes(a.ndim, mode)[1])
+    into, back = _axes(a.ndim, mode)
+    out = np.dot(u, a.transpose(into).reshape(a.shape[mode], math.prod(rest)))
+    return out.reshape((u.shape[0],) + rest).transpose(back)
 
 
 def _as_factor(u, extent: int, mode: int) -> np.ndarray:

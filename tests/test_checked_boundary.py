@@ -199,10 +199,11 @@ def test_bench_records_bit_identical_to_checked_reference(cfg, runner, monkeypat
 
 
 def _count_factorizations(monkeypatch):
-    """Wrap ``decomp``'s two factorization bindings in one call counter:
-    ``svd``, which the per-mode loop and HOOI's sweeps call, and
-    ``_gram_svd``, the factor step the per-mode loop calls with the Gram
-    matrix of a wide middle mode."""
+    """Wrap ``decomp``'s three factorization bindings in one call counter:
+    ``svd``, which the per-mode loop calls and HOOI's sweeps call through
+    ``_factor`` at or above ``_SAFE_NORM``; ``_svd``, its unscanned kernel,
+    which the sweeps call below it; and ``_gram_svd``, the factor step the
+    per-mode loop calls with the Gram matrix of a wide middle mode."""
     calls = [0]
 
     def counting(f):
@@ -212,6 +213,7 @@ def _count_factorizations(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(decomp, "svd", counting(decomp.svd))
+    monkeypatch.setattr(decomp, "_svd", counting(decomp._svd))
     monkeypatch.setattr(decomp, "_gram_svd", counting(decomp._gram_svd))
     return calls
 

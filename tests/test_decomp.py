@@ -182,6 +182,7 @@ def _same_bits(a, b):
 _rng_hooi = np.random.default_rng(41)
 
 
+@pytest.mark.parametrize("safe_norm", [0.0, decomp._SAFE_NORM], ids=["checked", "kernel"])
 @pytest.mark.parametrize("y, ranks, max_iter", [
     (_rng_hooi.standard_normal((6, 7, 8)), (2, 3, 4), 50),
     (_rng_hooi.standard_normal((10, 10, 10)), (3, 3, 3), 50),
@@ -198,7 +199,10 @@ _rng_hooi = np.random.default_rng(41)
     (_rng_hooi.standard_normal((7, 9)), (3, 3), 50),
     (_rng_hooi.standard_normal(6), (2,), 50),
 ])
-def test_hooi_bit_identical_to_projection_from_scratch(y, ranks, max_iter, monkeypatch):
+def test_hooi_bit_identical_to_projection_from_scratch(y, ranks, max_iter, safe_norm,
+                                                       monkeypatch):
+    # every sweep on the checked factor step (bound 0), or on the kernel
+    monkeypatch.setattr(decomp, "_SAFE_NORM", safe_norm)
     stop_hooi_at(monkeypatch, 1e-10, max_iter)
     model = hooi(y, ranks)
     core, factors, want_fits = _hooi_reference(y, ranks, 1e-10, max_iter)
